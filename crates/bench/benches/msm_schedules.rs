@@ -15,7 +15,7 @@
 //! timing.
 //!
 //! The `precomputed` rows sweep the table-backed fixed-base engine
-//! (`MsmSchedule::Precomputed`) against the `optimized` in-place schedule
+//! (`msm_precomputed_on`) against the `optimized` in-place schedule
 //! at n ∈ {2^10, 2^12, 2^14} so the crossover point is recorded in the
 //! same history file: the tables pay a one-time 255-doublings-per-base
 //! build (printed, not benchmarked — it is amortized over a session) and
@@ -29,7 +29,7 @@ use zkspeed_curve::{
 };
 use zkspeed_field::Fr;
 use zkspeed_rt::bench::{black_box, Harness};
-use zkspeed_rt::pool::backend_with_threads;
+use zkspeed_rt::pool::{backend_with_threads, Serial};
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::SeedableRng;
 
@@ -64,8 +64,8 @@ fn main() {
     // wall-clock numbers.
     for w in [8usize, 10] {
         for (name, config) in schedules() {
-            let (_, stats) =
-                zkspeed_curve::msm_with_config(&points, &scalars, config.with_window_bits(w));
+            let config = config.with_window_bits(w);
+            let (_, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
             println!(
                 "msm stats n=2^12 w={w} {name}: fq_muls={} adds={} (bucket={} affine={} agg={} \
                  partial-combine={} combine={}) inversions={} recoded={}",
@@ -115,10 +115,12 @@ fn main() {
                 table.size_in_bytes(),
                 started.elapsed().as_secs_f64() * 1e3
             );
-            let pre_config = MsmConfig::precomputed().with_window_bits(w);
+            // The table's own width wins; the config supplies aggregation
+            // and the batch-affine threshold.
+            let pre_config = MsmConfig::optimized();
             let (_, pre_stats) = msm_precomputed_on(&*build_backend, &table, &scalars, pre_config);
             let base_config = MsmConfig::optimized().with_window_bits(w);
-            let (_, base_stats) = zkspeed_curve::msm_with_config(&points, &scalars, base_config);
+            let (_, base_stats) = msm_with_config_on(&Serial, &points, &scalars, base_config);
             println!(
                 "msm stats n=2^{log_n} w={w} precomputed: fq_muls={} vs optimized fq_muls={} \
                  ({:.2}x fewer)",

@@ -41,7 +41,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use zkspeed_curve::MsmConfig;
 use zkspeed_hyperplonk::workloads::WorkloadSpec;
 use zkspeed_hyperplonk::Witness;
 use zkspeed_net::{ClientConfig, NetClient, NetServer, ServerConfig};
@@ -198,23 +197,14 @@ fn main() {
     // the timed region, like any session preprocess); every timed proof
     // then commits through the zero-doubling table engine.
     let (repeat_circuit, repeat_witness) = WorkloadSpec::test_suite()[0].build(&mut rng);
-    for (label, precompute, msm_config) in [
-        (
-            "precompute-off",
-            PrecomputeBudget::disabled(),
-            MsmConfig::default(),
-        ),
-        (
-            "precompute-on",
-            PrecomputeBudget::unlimited(),
-            MsmConfig::precomputed(),
-        ),
+    for (label, precompute) in [
+        ("precompute-off", PrecomputeBudget::disabled()),
+        ("precompute-on", PrecomputeBudget::unlimited()),
     ] {
         let repeat_config = ServiceConfig::default()
             .with_shards(1)
             .with_threads_per_shard(threads.max(1))
             .with_wave_size(4)
-            .with_msm_config(msm_config)
             .with_precompute(precompute);
         let repeat_svc = ProvingService::start(Arc::clone(&repeat_srs), repeat_config);
         let digest = repeat_svc

@@ -8,7 +8,7 @@
 //! timed through the backend-threaded prover entry points.
 
 use zkspeed_hyperplonk::workloads::WorkloadSpec;
-use zkspeed_hyperplonk::{prove_on, try_preprocess_on, verify, CircuitStats};
+use zkspeed_hyperplonk::{prove_on, try_preprocess, verify, CircuitStats};
 use zkspeed_pcs::Srs;
 use zkspeed_rt::bench::{black_box, history_dir, Harness};
 use zkspeed_rt::pool::{self, Backend};
@@ -40,7 +40,7 @@ fn main() {
         );
         stats_docs.push((spec.name(), stats.to_json()));
 
-        let (pk, vk) = try_preprocess_on(circuit, &srs, &backend).expect("circuit fits");
+        let (pk, vk) = try_preprocess(circuit, &srs).expect("circuit fits");
         h.bench(format!("prove/{}", spec.label()), || {
             prove_on(&pk, &witness, &backend).expect("valid witness")
         });

@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment harness binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the zkSpeed
-//! paper (see DESIGN.md for the full index). The helpers here keep the
-//! console output consistent so EXPERIMENTS.md can quote it directly.
+//! paper. The helpers here keep the console output consistent so
+//! EXPERIMENTS.md can quote it directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //!
 //! * [`G1Affine`] / [`G1Projective`] — the group, with complete full and
 //!   mixed addition formulas (the PADD datapath);
-//! * [`msm`] / [`msm_with_config`] — Pippenger's algorithm with configurable
+//! * [`msm`] / [`msm_with_config_on`] — Pippenger's algorithm with configurable
 //!   window size, signed-digit recoding, SZKP-style intra-window chunking,
 //!   batch-affine bucket accumulation, and either the SZKP serial or the
 //!   zkSpeed grouped bucket aggregation schedule (Fig. 5 of the paper) —
@@ -50,8 +50,8 @@ pub use g1::{
 };
 pub use msm::{
     aggregate_buckets, auto_intra_window_chunks, auto_window_bits, msm, msm_precomputed_on,
-    msm_with_config, msm_with_config_on, msm_with_config_shared, naive_msm, sparse_msm,
-    sparse_msm_on, sparse_msm_precomputed_on, sparse_msm_with_config_on, tree_sum, Aggregation,
-    MsmConfig, MsmSchedule, MsmStats, SparseMsmStats, BATCH_AFFINE_DEFAULT_MIN_POINTS,
+    msm_with_config_on, msm_with_config_shared, naive_msm, sparse_msm, sparse_msm_precomputed_on,
+    sparse_msm_with_config_on, tree_sum, Aggregation, MsmConfig, MsmSchedule, MsmStats,
+    SparseMsmStats, BATCH_AFFINE_DEFAULT_MIN_POINTS,
 };
 pub use multi_base::{MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};

@@ -6,8 +6,8 @@
 //! module provides:
 //!
 //! * [`naive_msm`] — the double-and-add reference used as a test oracle;
-//! * [`msm`] / [`msm_with_config`] — Pippenger's bucket algorithm with three
-//!   composable optimizations selected by [`MsmConfig`]:
+//! * [`msm`] / [`msm_with_config_on`] — Pippenger's bucket algorithm with
+//!   three composable optimizations selected by [`MsmConfig`]:
 //!   - **signed-digit window recoding** (digits in `[−2^{w−1}, 2^{w−1}]`,
 //!     using the free affine negation `−(x, y) = (x, −y)`), halving the
 //!     bucket count and the aggregation adds per window;
@@ -24,6 +24,8 @@
 //!   zkSpeed's grouped schedule, Fig. 5);
 //! * [`sparse_msm`] — the Sparse MSM used for Witness Commits, where scalars
 //!   that are 0 or 1 bypass Pippenger entirely (Section 3.3.1);
+//! * [`msm_precomputed_on`] / [`sparse_msm_precomputed_on`] — the same sums
+//!   over a precomputed [`MultiBaseTable`], with zero doublings;
 //! * operation counters ([`MsmStats`]) that feed the hardware cost model.
 //!
 //! Every schedule computes the same group element, and proof encodings
@@ -84,21 +86,6 @@ pub enum MsmSchedule {
         /// Number of point chunks per window (0 = auto).
         chunks: usize,
     },
-    /// Consume a precomputed [`MultiBaseTable`] over the fixed bases: the
-    /// shifted multiples `2^{w·j}·Bᵢ` turn the whole MSM into one flat
-    /// signed-digit bucket problem — zero doublings, `⌈255/w⌉ + 1` digit
-    /// lookups per scalar, and a single aggregation pass. Work is
-    /// decomposed by partitioning the *bucket index space* into
-    /// config-derived ranges (each job scans every digit but fills only
-    /// its disjoint bucket slice), so no combine additions are needed and
-    /// results stay thread-count invariant.
-    ///
-    /// Only table-aware entry points ([`msm_precomputed_on`],
-    /// [`sparse_msm_precomputed_on`]) can honor this schedule; the plain
-    /// `msm_with_config*` functions have no table and fall back to the
-    /// auto [`MsmSchedule::IntraWindow`] decomposition, still computing
-    /// the same group element.
-    Precomputed,
 }
 
 impl Default for MsmSchedule {
@@ -159,18 +146,6 @@ impl MsmConfig {
             schedule: MsmSchedule::IntraWindow { chunks: 0 },
             signed_digits: true,
             batch_affine_min_points: BATCH_AFFINE_DEFAULT_MIN_POINTS,
-        }
-    }
-
-    /// The precomputed-table schedule: signed digits into a single flat
-    /// bucket set fed from a [`MultiBaseTable`]'s shifted bases — zero
-    /// doublings per MSM. `window_bits` is ignored by the table engine
-    /// (the table's own width wins); callers without a table fall back to
-    /// [`MsmConfig::optimized`]'s decomposition.
-    pub fn precomputed() -> Self {
-        Self {
-            schedule: MsmSchedule::Precomputed,
-            ..Self::optimized()
         }
     }
 
@@ -339,29 +314,13 @@ pub fn auto_intra_window_chunks(n: usize) -> usize {
 /// assert_eq!(msm(&points, &scalars), g.mul_scalar(&Fr::from_u64(13)));
 /// ```
 pub fn msm(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
-    msm_with_config(points, scalars, MsmConfig::default()).0
+    msm_with_config_on(&pool::Ambient, points, scalars, MsmConfig::default()).0
 }
 
-/// Computes `Σ sᵢ·Pᵢ` with Pippenger's algorithm and an explicit
-/// configuration, returning the result together with operation counts.
-///
-/// Parallel fan-out follows the ambient configuration (`ZKSPEED_THREADS`,
-/// [`zkspeed_rt::par::with_threads`]); use [`msm_with_config_on`] to pin an
-/// explicit [`Backend`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or if a grouped aggregation
-/// with `group_size == 0` is requested.
-pub fn msm_with_config(
-    points: &[G1Affine],
-    scalars: &[Fr],
-    config: MsmConfig,
-) -> (G1Projective, MsmStats) {
-    msm_with_config_on(&pool::Ambient, points, scalars, config)
-}
-
-/// [`msm_with_config`] on an explicit execution backend.
+/// Computes `Σ sᵢ·Pᵢ` with Pippenger's algorithm on an explicit execution
+/// backend and configuration, returning the result together with operation
+/// counts. Pass [`pool::Ambient`] to follow the ambient thread count
+/// (`ZKSPEED_THREADS`, [`zkspeed_rt::par::with_threads`]).
 ///
 /// # Panics
 ///
@@ -376,7 +335,7 @@ pub fn msm_with_config_on(
     msm_impl(backend, PointSource::Borrowed(points), scalars, config)
 }
 
-/// [`msm_with_config`] over a shared point vector: when the backend goes
+/// [`msm_with_config_on`] over a shared point vector: when the backend goes
 /// parallel the `Arc` is cloned into the worker jobs instead of copying the
 /// points, so SRS-basis commitments fan out with zero point copies.
 ///
@@ -826,12 +785,7 @@ fn msm_impl(
     });
     let chunks = match config.schedule {
         MsmSchedule::WindowParallel => 1,
-        // No table reaches this engine: the precomputed schedule degrades
-        // to the auto intra-window decomposition (same group element, just
-        // without the zero-doubling shortcut).
-        MsmSchedule::IntraWindow { chunks: 0 } | MsmSchedule::Precomputed => {
-            auto_intra_window_chunks(n)
-        }
+        MsmSchedule::IntraWindow { chunks: 0 } => auto_intra_window_chunks(n),
         MsmSchedule::IntraWindow { chunks } => chunks.min(n),
     };
     let chunk_ranges = zkspeed_rt::par::split_ranges(n, chunks);
@@ -851,21 +805,17 @@ fn msm_impl(
     // the backend's workers; the per-window reduction and the serial window
     // combine below consume them in deterministic order, so results and
     // operation counts are bit-identical to a serial run at any thread
-    // count. Workers measure their thread-local modmul delta, rewind it, and
-    // hand it back so the profiling counters see the same totals everywhere.
-    // MSMs below PAR_MIN_POINTS (the tail of the halving-MSM sequence, tiny
-    // commits) stay on the calling thread: fan-out overhead would dwarf the
-    // microseconds of useful work per segment.
+    // count. MSMs below PAR_MIN_POINTS (the tail of the halving-MSM
+    // sequence, tiny commits) stay on the calling thread: fan-out overhead
+    // would dwarf the microseconds of useful work per segment.
     const PAR_MIN_POINTS: usize = 256;
     let parallel = n >= PAR_MIN_POINTS && backend.threads() > 1 && num_windows * num_chunks > 1;
 
-    let window_sums: Vec<(WindowSum, zkspeed_field::ModmulCount)> = if num_chunks == 1 {
+    let window_sums: Vec<WindowSum> = if num_chunks == 1 {
         // Fused path: one job per window fills and aggregates directly.
         let run = move |instance: &MsmInstance, window: usize| {
-            zkspeed_field::measure_modmuls(|| {
-                let segment = instance.fill_segment(window, 0);
-                instance.reduce_window(&[segment])
-            })
+            let segment = instance.fill_segment(window, 0);
+            instance.reduce_window(&[segment])
         };
         if parallel {
             let instance = Arc::new(instance);
@@ -880,22 +830,15 @@ fn msm_impl(
         // (one job per window).
         let instance = Arc::new(instance);
         let fill_instance = Arc::clone(&instance);
-        let fill = move |job: usize| {
-            zkspeed_field::measure_modmuls(|| {
-                fill_instance.fill_segment(job / num_chunks, job % num_chunks)
-            })
-        };
-        let segments: Vec<(FilledSegment, zkspeed_field::ModmulCount)> = if parallel {
+        let fill = move |job: usize| fill_instance.fill_segment(job / num_chunks, job % num_chunks);
+        let segments: Vec<FilledSegment> = if parallel {
             pool::map_indices_on(backend, num_windows * num_chunks, fill)
         } else {
             (0..num_windows * num_chunks).map(fill).collect()
         };
-        // Fill-phase modmuls are re-added in job order before the reduce
-        // phase measures its own deltas.
         let mut window_segments: Vec<Vec<FilledSegment>> = Vec::with_capacity(num_windows);
         let mut current: Vec<FilledSegment> = Vec::with_capacity(num_chunks);
-        for (segment, muls) in segments {
-            zkspeed_field::add_modmul_count(muls);
+        for segment in segments {
             current.push(segment);
             if current.len() == num_chunks {
                 window_segments.push(std::mem::replace(
@@ -906,11 +849,7 @@ fn msm_impl(
         }
         let window_segments = Arc::new(window_segments);
         let reduce_instance = Arc::clone(&instance);
-        let reduce = move |window: usize| {
-            zkspeed_field::measure_modmuls(|| {
-                reduce_instance.reduce_window(&window_segments[window])
-            })
-        };
+        let reduce = move |window: usize| reduce_instance.reduce_window(&window_segments[window]);
         if parallel {
             pool::map_indices_on(backend, num_windows, reduce)
         } else {
@@ -922,14 +861,13 @@ fn msm_impl(
     // while the accumulator is still the identity, so the signed recoding's
     // empty top window costs nothing), one addition per non-empty window.
     let mut acc = G1Projective::identity();
-    for (window_sum, muls) in window_sums.iter().rev() {
+    for window_sum in window_sums.iter().rev() {
         if !acc.is_identity() {
             for _ in 0..w {
                 acc = acc.double();
                 stats.doublings += 1;
             }
         }
-        zkspeed_field::add_modmul_count(*muls);
         stats.bucket_adds += window_sum.bucket_adds;
         stats.affine_adds += window_sum.affine_adds;
         stats.batch_inversions += window_sum.batch_inversions;
@@ -1061,20 +999,7 @@ fn aggregate_grouped(buckets: &[G1Projective], group_size: usize) -> (G1Projecti
 ///
 /// Panics if the slices have different lengths.
 pub fn sparse_msm(points: &[G1Affine], scalars: &[Fr]) -> (G1Projective, SparseMsmStats) {
-    sparse_msm_on(&pool::Ambient, points, scalars)
-}
-
-/// [`sparse_msm`] on an explicit execution backend.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sparse_msm_on(
-    backend: &dyn Backend,
-    points: &[G1Affine],
-    scalars: &[Fr],
-) -> (G1Projective, SparseMsmStats) {
-    sparse_msm_with_config_on(backend, points, scalars, MsmConfig::default())
+    sparse_msm_with_config_on(&pool::Ambient, points, scalars, MsmConfig::default())
 }
 
 /// [`sparse_msm`] on an explicit execution backend, running the dense
@@ -1145,9 +1070,11 @@ fn auto_precomputed_jobs(total_entries: usize, num_buckets: usize) -> usize {
 /// combine, the whole point of precomputing the session's bases.
 ///
 /// `config` supplies the aggregation schedule and batch-affine threshold;
-/// `config.window_bits` and `config.signed_digits` are ignored (the table's
-/// width wins and recoding is always signed). The result is the same group
-/// element any other schedule computes.
+/// `config.window_bits`, `config.signed_digits` and `config.schedule` are
+/// ignored (the table's width wins, recoding is always signed, and work is
+/// split over config-derived bucket ranges, each job filling a disjoint
+/// bucket slice, so results stay thread-count invariant). The result is the
+/// same group element any other schedule computes.
 ///
 /// # Panics
 ///
@@ -1335,18 +1262,17 @@ fn msm_precomputed_impl(
     };
 
     // Same fan-out policy as `msm_impl`: below the parallel floor the work
-    // stays on the calling thread; workers measure and hand back their
-    // modmul deltas so the profiling counters match a serial run.
+    // stays on the calling thread.
     const PAR_MIN_POINTS: usize = 256;
     let parallel = total_entries >= PAR_MIN_POINTS && backend.threads() > 1 && num_jobs > 1;
-    let segments: Vec<(FilledSegment, zkspeed_field::ModmulCount)> = if parallel {
+    let segments: Vec<FilledSegment> = if parallel {
         let instance = Arc::new(instance);
         pool::map_indices_on(backend, num_jobs, move |job| {
-            zkspeed_field::measure_modmuls(|| instance.fill_bucket_range(job))
+            instance.fill_bucket_range(job)
         })
     } else {
         (0..num_jobs)
-            .map(|job| zkspeed_field::measure_modmuls(|| instance.fill_bucket_range(job)))
+            .map(|job| instance.fill_bucket_range(job))
             .collect()
     };
 
@@ -1354,8 +1280,7 @@ fn msm_precomputed_impl(
     // additions) and finish with the single aggregation pass.
     let mut buckets = Vec::with_capacity(num_buckets);
     let mut any = false;
-    for (segment, muls) in segments {
-        zkspeed_field::add_modmul_count(muls);
+    for segment in segments {
         stats.bucket_adds += segment.bucket_adds;
         stats.affine_adds += segment.affine_adds;
         stats.batch_inversions += segment.batch_inversions;
@@ -1451,7 +1376,7 @@ mod tests {
     #[test]
     fn empty_msm_is_identity() {
         for (name, config) in all_configs() {
-            let (r, stats) = msm_with_config(&[], &[], config);
+            let (r, stats) = msm_with_config_on(&Serial, &[], &[], config);
             assert_eq!(r, G1Projective::identity(), "{name}");
             assert_eq!(stats, MsmStats::default(), "{name}");
         }
@@ -1470,7 +1395,7 @@ mod tests {
             let expect = naive_msm(&points, &scalars);
             assert_eq!(msm(&points, &scalars), expect, "n = {n}");
             for (name, config) in all_configs() {
-                let (res, _) = msm_with_config(&points, &scalars, config);
+                let (res, _) = msm_with_config_on(&Serial, &points, &scalars, config);
                 assert_eq!(res, expect, "n = {n}, config = {name}");
             }
         }
@@ -1493,7 +1418,7 @@ mod tests {
                 for (name, base) in all_configs() {
                     let mut cfg = base.with_window_bits(w);
                     cfg.aggregation = agg;
-                    let (res, stats) = msm_with_config(&points, &scalars, cfg);
+                    let (res, stats) = msm_with_config_on(&Serial, &points, &scalars, cfg);
                     assert_eq!(res, expect, "w = {w}, agg = {agg:?}, config = {name}");
                     assert!(stats.total_adds() > 0);
                     assert!(stats.fq_muls() > 0);
@@ -1528,7 +1453,7 @@ mod tests {
                     .with_batch_affine_min_points(0)
                     .with_window_bits(w),
             ] {
-                let (res, stats) = msm_with_config(&points, &scalars, config);
+                let (res, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
                 assert_eq!(res, expect, "w = {w}, config = {config:?}");
                 assert_eq!(stats.recoded_scalars, n as u64);
             }
@@ -1542,7 +1467,7 @@ mod tests {
         for scalar in [Fr::zero(), Fr::one(), -Fr::one(), Fr::random(&mut r)] {
             let expect = naive_msm(&point, &[scalar]);
             for (name, config) in all_configs() {
-                let (res, _) = msm_with_config(&point, &[scalar], config);
+                let (res, _) = msm_with_config_on(&Serial, &point, &[scalar], config);
                 assert_eq!(res, expect, "scalar = {scalar}, config = {name}");
             }
         }
@@ -1555,7 +1480,7 @@ mod tests {
         // All zeros: no window is ever touched, no ops are counted.
         let zeros = vec![Fr::zero(); 5];
         for (name, config) in all_configs() {
-            let (res, stats) = msm_with_config(&points, &zeros, config);
+            let (res, stats) = msm_with_config_on(&Serial, &points, &zeros, config);
             assert_eq!(res, G1Projective::identity(), "{name}");
             assert_eq!(stats.total_adds(), 0, "{name}");
             assert_eq!(stats.doublings, 0, "{name}");
@@ -1578,7 +1503,7 @@ mod tests {
         let scalars: Vec<Fr> = (0..6).map(|_| Fr::random(&mut r)).collect();
         let expect = naive_msm(&points, &scalars);
         for (name, config) in all_configs() {
-            let (res, _) = msm_with_config(&points, &scalars, config);
+            let (res, _) = msm_with_config_on(&Serial, &points, &scalars, config);
             assert_eq!(res, expect, "config = {name}");
         }
     }
@@ -1606,7 +1531,7 @@ mod tests {
                 let config = MsmConfig::classic()
                     .with_signed_digits(signed)
                     .with_batch_affine_min_points(0);
-                let (res, stats) = msm_with_config(&points, &scalars, config);
+                let (res, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
                 assert_eq!(res, expect, "scalar = {scalar}, signed = {signed}");
                 assert!(stats.affine_adds > 0 || stats.total_adds() == 0);
                 assert_eq!(stats.bucket_adds, 0, "all fills must be batch-affine");
@@ -1639,9 +1564,14 @@ mod tests {
         let n = 1 << 10;
         let points = random_points(n, &mut r);
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
-        let (classic_res, classic) =
-            msm_with_config(&points, &scalars, MsmConfig::classic().with_window_bits(8));
-        let (optimized_res, optimized) = msm_with_config(
+        let (classic_res, classic) = msm_with_config_on(
+            &Serial,
+            &points,
+            &scalars,
+            MsmConfig::classic().with_window_bits(8),
+        );
+        let (optimized_res, optimized) = msm_with_config_on(
+            &Serial,
             &points,
             &scalars,
             MsmConfig::optimized().with_window_bits(8),
@@ -1800,7 +1730,7 @@ mod tests {
         for w in [1usize, 4, 8, 12, 16] {
             let table = Arc::new(MultiBaseTable::build_on(&shared, w, &Serial));
             for min_points in [0usize, usize::MAX] {
-                let config = MsmConfig::precomputed().with_batch_affine_min_points(min_points);
+                let config = MsmConfig::default().with_batch_affine_min_points(min_points);
                 let (res, stats) = msm_precomputed_on(&Serial, &table, &scalars, config);
                 assert_eq!(res, expect, "w = {w}, min_points = {min_points}");
                 assert_eq!(stats.doublings, 0, "precomputed engine never doubles");
@@ -1811,12 +1741,10 @@ mod tests {
         }
         // Prefix MSMs (fewer scalars than bases) are allowed.
         let table = Arc::new(MultiBaseTable::build_on(&shared, 8, &Serial));
-        let (prefix, _) =
-            msm_precomputed_on(&Serial, &table, &scalars[..7], MsmConfig::precomputed());
+        let (prefix, _) = msm_precomputed_on(&Serial, &table, &scalars[..7], MsmConfig::default());
         assert_eq!(prefix, naive_msm(&points[..7], &scalars[..7]));
         // Empty input.
-        let (empty, empty_stats) =
-            msm_precomputed_on(&Serial, &table, &[], MsmConfig::precomputed());
+        let (empty, empty_stats) = msm_precomputed_on(&Serial, &table, &[], MsmConfig::default());
         assert_eq!(empty, G1Projective::identity());
         assert_eq!(empty_stats, MsmStats::default());
     }
@@ -1829,7 +1757,7 @@ mod tests {
         let points = Arc::new(random_points(n, &mut r));
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
         let table = Arc::new(MultiBaseTable::build_on(&points, 10, &Serial));
-        let config = MsmConfig::precomputed();
+        let config = MsmConfig::default();
         let serial = msm_precomputed_on(&Serial, &table, &scalars, config);
         assert_eq!(serial.0, naive_msm(&points, &scalars));
         for threads in [1usize, 2, 8] {
@@ -1855,7 +1783,7 @@ mod tests {
             .collect();
         let expect = naive_msm(&points, &scalars);
         let table = Arc::new(MultiBaseTable::build_on(&points, 9, &Serial));
-        let config = MsmConfig::precomputed();
+        let config = MsmConfig::default();
         let serial = sparse_msm_precomputed_on(&Serial, &table, &scalars, config);
         assert_eq!(serial.0, expect);
         assert!(serial.1.zeros > 0 && serial.1.ones > 0 && serial.1.dense > 0);
@@ -1863,19 +1791,6 @@ mod tests {
         let pooled = sparse_msm_precomputed_on(&ThreadPool::new(8), &table, &scalars, config);
         assert_eq!(pooled.0, serial.0);
         assert_eq!(pooled.1, serial.1);
-    }
-
-    #[test]
-    fn precomputed_schedule_without_table_falls_back() {
-        // The plain engine has no table, so MsmSchedule::Precomputed must
-        // degrade to the intra-window decomposition and still be correct.
-        let mut r = rng();
-        let n = 100;
-        let points = random_points(n, &mut r);
-        let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
-        let (res, stats) = msm_with_config(&points, &scalars, MsmConfig::precomputed());
-        assert_eq!(res, naive_msm(&points, &scalars));
-        assert!(stats.total_adds() > 0);
     }
 
     #[test]
@@ -1887,14 +1802,15 @@ mod tests {
         let n = 1 << 10;
         let points = Arc::new(random_points(n, &mut r));
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
-        let (opt_res, optimized) = msm_with_config(&points, &scalars, MsmConfig::optimized());
+        let (opt_res, optimized) =
+            msm_with_config_on(&Serial, &points, &scalars, MsmConfig::optimized());
         let table = Arc::new(MultiBaseTable::build_on(
             &points,
             crate::MULTI_BASE_DEFAULT_WINDOW_BITS,
             &Serial,
         ));
         let (pre_res, precomputed) =
-            msm_precomputed_on(&Serial, &table, &scalars, MsmConfig::precomputed());
+            msm_precomputed_on(&Serial, &table, &scalars, MsmConfig::default());
         assert_eq!(pre_res, opt_res);
         assert!(
             precomputed.fq_muls() * 4 < optimized.fq_muls() * 3,

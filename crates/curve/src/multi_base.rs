@@ -7,8 +7,8 @@
 //! problem `Σᵢ Σⱼ d_{i,j}·T_{i,j}` — one bucket set of `2^{w−1}` entries,
 //! a single aggregation pass, and **zero doublings** per MSM (compare
 //! [`crate::FixedBaseTable`], which plays the same trick for one base in
-//! `Srs` setup). The [`MsmSchedule::Precomputed`](crate::MsmSchedule)
-//! engine in [`crate::msm_precomputed_on`] consumes these tables.
+//! `Srs` setup). The table engine in [`crate::msm_precomputed_on`]
+//! consumes these tables.
 //!
 //! The table stores only the `⌈255/w⌉ + 1` shifted bases per point (the
 //! extra window absorbs the signed-recoding carry), not per-digit
@@ -51,8 +51,8 @@ pub struct MultiBaseTable {
 impl MultiBaseTable {
     /// Precomputes the shifted-base table for `bases` with `window_bits`-wide
     /// windows, fanning the per-base doubling chains out across the backend
-    /// (each chunk shares one batch inversion; results and modmul counters
-    /// are identical at any thread count).
+    /// (each chunk shares one batch inversion; results are identical at any
+    /// thread count).
     ///
     /// # Panics
     ///
@@ -71,23 +71,20 @@ impl MultiBaseTable {
         const MIN_CHUNK: usize = 32;
         let job_bases = Arc::clone(bases);
         let chunks = pool::map_ranges(backend, num_bases, MIN_CHUNK, move |range| {
-            zkspeed_field::measure_modmuls(|| {
-                let mut shifted = Vec::with_capacity(range.len() * num_windows);
-                for i in range {
-                    let mut acc = job_bases[i].to_projective();
-                    for _ in 0..num_windows {
-                        shifted.push(acc);
-                        for _ in 0..window_bits {
-                            acc = acc.double();
-                        }
+            let mut shifted = Vec::with_capacity(range.len() * num_windows);
+            for i in range {
+                let mut acc = job_bases[i].to_projective();
+                for _ in 0..num_windows {
+                    shifted.push(acc);
+                    for _ in 0..window_bits {
+                        acc = acc.double();
                     }
                 }
-                G1Projective::batch_to_affine(&shifted)
-            })
+            }
+            G1Projective::batch_to_affine(&shifted)
         });
         let mut entries = Vec::with_capacity(num_bases * num_windows);
-        for (chunk, muls) in chunks {
-            zkspeed_field::add_modmul_count(muls);
+        for chunk in chunks {
             entries.extend(chunk);
         }
         Self {

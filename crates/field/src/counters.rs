@@ -7,8 +7,15 @@
 //! modmul counts: the profiling harness resets the counters around each
 //! protocol step and reads them back afterwards.
 //!
-//! The counters are thread-local, so concurrent tests do not interfere.
+//! The counters are thread-local, so concurrent tests do not interfere. A
+//! count is exact only for work that runs on the calling thread: multiplies
+//! done by pool workers land in the workers' counters. Profile on the
+//! [`Serial`] backend or under [`with_threads(1, …)`] — as
+//! `zkspeed_hyperplonk::profile_kernels` does — when every modmul must be
+//! seen.
 //!
+//! [`Serial`]: zkspeed_rt::pool::Serial
+//! [`with_threads(1, …)`]: zkspeed_rt::par::with_threads
 //! [`impl_montgomery_field!`]: crate::impl_montgomery_field
 
 use core::cell::Cell;
@@ -66,40 +73,6 @@ pub fn modmul_count() -> ModmulCount {
 pub fn reset_modmul_count() {
     FR_MULS.with(|c| c.set(0));
     FQ_MULS.with(|c| c.set(0));
-}
-
-/// Restores the current thread's counters to an earlier snapshot.
-///
-/// Together with [`add_modmul_count`] this lets parallel helpers transfer
-/// counts from scoped worker threads to the spawning thread: each worker
-/// measures its own delta, rewinds its thread-local counter, and returns the
-/// delta for the caller to merge — so totals are identical whether the work
-/// ran inline or fanned out.
-pub fn set_modmul_count(snapshot: ModmulCount) {
-    FR_MULS.with(|c| c.set(snapshot.fr));
-    FQ_MULS.with(|c| c.set(snapshot.fq));
-}
-
-/// Adds a delta (measured on another thread) into this thread's counters.
-pub fn add_modmul_count(delta: ModmulCount) {
-    FR_MULS.with(|c| c.set(c.get() + delta.fr));
-    FQ_MULS.with(|c| c.set(c.get() + delta.fq));
-}
-
-/// Runs `f`, returning its result together with the modmuls it recorded, and
-/// rewinds this thread's counters to their prior state.
-///
-/// This is the worker half of the parallel counting protocol: run the chunk
-/// under `measure_modmuls`, ship the delta back with the chunk result, and
-/// let the spawning thread [`add_modmul_count`] the deltas in chunk order —
-/// totals then match a serial run at any thread count, whether the closure
-/// ran inline or on a scoped worker.
-pub fn measure_modmuls<T>(f: impl FnOnce() -> T) -> (T, ModmulCount) {
-    let before = modmul_count();
-    let out = f();
-    let delta = modmul_count().since(&before);
-    set_modmul_count(before);
-    (out, delta)
 }
 
 #[cfg(test)]

@@ -36,10 +36,7 @@ mod fr;
 mod montgomery;
 mod traits;
 
-pub use counters::{
-    add_modmul_count, measure_modmuls, modmul_count, reset_modmul_count, set_modmul_count,
-    ModmulCount,
-};
+pub use counters::{modmul_count, reset_modmul_count, ModmulCount};
 pub use fq::Fq;
 pub use fr::Fr;
 pub use traits::{batch_invert, Field};

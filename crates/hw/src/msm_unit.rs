@@ -420,8 +420,9 @@ mod tests {
     fn signed_fq_muls_track_functional_stats() {
         // The signed-digit model term (ROADMAP 5b) must land within a small
         // band of the functional engine's counted operations.
-        use zkspeed_curve::{msm_with_config, G1Projective, MsmConfig};
+        use zkspeed_curve::{msm_with_config_on, G1Projective, MsmConfig};
         use zkspeed_field::Fr;
+        use zkspeed_rt::pool::Serial;
         use zkspeed_rt::rngs::StdRng;
         use zkspeed_rt::SeedableRng;
         let mut rng = StdRng::seed_from_u64(21);
@@ -433,7 +434,7 @@ mod tests {
         for (min_points, batch_affine) in [(usize::MAX, false), (0, true)] {
             let mut config = MsmConfig::optimized().with_window_bits(8);
             config.batch_affine_min_points = min_points;
-            let (_, stats) = msm_with_config(&points, &scalars, config);
+            let (_, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
             let cfg = MsmUnitConfig {
                 window_bits: 8,
                 datapath: MsmDatapath::Signed { batch_affine },
@@ -455,7 +456,7 @@ mod tests {
         // classic datapath.
         use std::sync::Arc;
         use zkspeed_curve::{
-            msm_precomputed_on, msm_with_config, G1Projective, MsmConfig, MultiBaseTable,
+            msm_precomputed_on, msm_with_config_on, G1Projective, MsmConfig, MultiBaseTable,
         };
         use zkspeed_field::Fr;
         use zkspeed_rt::pool::Serial;
@@ -469,11 +470,10 @@ mod tests {
             .collect();
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         let table = Arc::new(MultiBaseTable::build(&points, w));
-        let mut config = MsmConfig::precomputed();
-        config.batch_affine_min_points = 0;
+        let config = MsmConfig::default().with_batch_affine_min_points(0);
         let (_, pre_stats) = msm_precomputed_on(&Serial, &table, &scalars, config);
-        let (_, classic_stats) =
-            msm_with_config(&points, &scalars, MsmConfig::classic().with_window_bits(w));
+        let classic = MsmConfig::classic().with_window_bits(w);
+        let (_, classic_stats) = msm_with_config_on(&Serial, &points, &scalars, classic);
 
         let base = MsmUnitConfig {
             window_bits: w,
@@ -505,8 +505,9 @@ mod tests {
         // The analytic count should be within 2× of the functional layer's
         // counted operations for the same window size (the functional layer
         // skips zero-valued windows, the model does not).
-        use zkspeed_curve::{msm_with_config, G1Projective, MsmConfig};
+        use zkspeed_curve::{msm_with_config_on, G1Projective, MsmConfig};
         use zkspeed_field::Fr;
+        use zkspeed_rt::pool::Serial;
         use zkspeed_rt::rngs::StdRng;
         use zkspeed_rt::SeedableRng;
         let mut rng = StdRng::seed_from_u64(7);
@@ -517,8 +518,8 @@ mod tests {
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         // The classic schedule (unsigned windows, mixed additions) is the
         // functional counterpart of the modeled Pippenger unit.
-        let (_, stats) =
-            msm_with_config(&points, &scalars, MsmConfig::classic().with_window_bits(8));
+        let classic = MsmConfig::classic().with_window_bits(8);
+        let (_, stats) = msm_with_config_on(&Serial, &points, &scalars, classic);
         let cfg = MsmUnitConfig {
             window_bits: 8,
             ..MsmUnitConfig::default()

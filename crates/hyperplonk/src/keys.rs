@@ -9,7 +9,8 @@
 use core::fmt;
 use std::sync::Arc;
 
-use zkspeed_pcs::{commit_on, CommitTables, Commitment, PrecomputeBudget, Srs};
+use zkspeed_curve::MsmConfig;
+use zkspeed_pcs::{commit_with_tables_on, CommitTables, Commitment, PrecomputeBudget, Srs};
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::pool::{self, Backend, Serial};
 use zkspeed_transcript::Transcript;
@@ -116,31 +117,21 @@ pub fn try_preprocess(
     circuit: Circuit,
     srs: &Srs,
 ) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
-    try_preprocess_on(circuit, srs, &pool::ambient())
+    try_preprocess_with_budget_on(
+        circuit,
+        srs,
+        &pool::ambient(),
+        &PrecomputeBudget::disabled(),
+    )
 }
 
-/// [`try_preprocess`] on an explicit execution backend: the eight
-/// commitments (five selectors, three wiring permutations) fan out across
-/// the backend's workers.
-///
-/// # Errors
-///
-/// Returns [`PreprocessError::SrsTooSmall`] if the circuit does not fit.
-pub fn try_preprocess_on(
-    circuit: Circuit,
-    srs: &Srs,
-    backend: &Arc<dyn Backend>,
-) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
-    try_preprocess_with_budget_on(circuit, srs, backend, &PrecomputeBudget::disabled())
-}
-
-/// [`try_preprocess_on`] additionally building per-session precomputed
-/// commit tables ([`CommitTables`]) within the given [`PrecomputeBudget`]
-/// and storing them on the [`ProvingKey`] — the one-time build that lets
-/// every subsequent proof of the session commit with the zero-doubling
-/// [`MsmSchedule::Precomputed`](zkspeed_curve::MsmSchedule) engine. A
-/// disabled budget (the default) makes this identical to
-/// [`try_preprocess_on`].
+/// [`try_preprocess`] on an explicit execution backend, additionally
+/// building per-session precomputed commit tables ([`CommitTables`]) within
+/// the given [`PrecomputeBudget`] and storing them on the [`ProvingKey`] —
+/// the one-time build that lets every subsequent proof of the session commit
+/// with the zero-doubling table engine. The eight commitments (five
+/// selectors, three wiring permutations) fan out across the backend's
+/// workers. A disabled budget (the default) builds no tables.
 ///
 /// # Errors
 ///
@@ -180,14 +171,9 @@ pub fn try_preprocess_with_budget_on(
         .cloned()
         .collect();
     let job_srs = srs.clone();
-    let commitments = pool::map_indices_on(&**backend, tables.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| commit_on(&Serial, &job_srs, &tables[i]))
+    let ordered = pool::map_indices_on(&**backend, tables.len(), move |i| {
+        commit_with_tables_on(&Serial, &job_srs, &tables[i], MsmConfig::default(), None).0
     });
-    let mut ordered = Vec::with_capacity(commitments.len());
-    for (com, muls) in commitments {
-        zkspeed_field::add_modmul_count(muls);
-        ordered.push(com);
-    }
     let selector_commitments = [0, 1, 2, 3, 4].map(|i| ordered[i]);
     let sigma_commitments = [0, 1, 2].map(|i| ordered[5 + i]);
     // The session's table build rides the same backend; commitments above
@@ -281,7 +267,7 @@ mod tests {
         let srs = Srs::setup(6, &mut r);
         let (circuit, _) = mock_circuit(6, SparsityProfile::paper_default(), &mut r);
         let backend: Arc<dyn Backend> = Arc::new(Serial);
-        let (pk_plain, vk_plain) = try_preprocess_on(circuit.clone(), &srs, &backend).unwrap();
+        let (pk_plain, vk_plain) = try_preprocess(circuit.clone(), &srs).unwrap();
         assert!(
             pk_plain.commit_tables.is_none(),
             "default budget is disabled"
@@ -324,10 +310,14 @@ mod tests {
         let mut r = rng();
         let srs = Srs::setup(5, &mut r);
         let (circuit, _) = mock_circuit(5, SparsityProfile::paper_default(), &mut r);
-        let serial: Arc<dyn Backend> = Arc::new(Serial);
-        let pool: Arc<dyn Backend> = Arc::new(zkspeed_rt::pool::ThreadPool::new(4));
-        let (_, vk_a) = try_preprocess_on(circuit.clone(), &srs, &serial).unwrap();
-        let (_, vk_b) = try_preprocess_on(circuit, &srs, &pool).unwrap();
+        let budget = PrecomputeBudget::disabled();
+        let vk_on = |backend: Arc<dyn Backend>| {
+            try_preprocess_with_budget_on(circuit.clone(), &srs, &backend, &budget)
+                .unwrap()
+                .1
+        };
+        let vk_a = vk_on(Arc::new(Serial));
+        let vk_b = vk_on(Arc::new(zkspeed_rt::pool::ThreadPool::new(4)));
         assert_eq!(vk_a.selector_commitments, vk_b.selector_commitments);
         assert_eq!(vk_a.sigma_commitments, vk_b.sigma_commitments);
     }

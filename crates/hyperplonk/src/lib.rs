@@ -7,10 +7,11 @@
 //!   and the wiring permutation;
 //! * [`try_preprocess`] — universal-setup indexing (commitments to selectors
 //!   and wiring);
-//! * [`prove_on`] / [`prove_with_report_on`] — the five protocol steps
+//! * [`prove_on`] / [`prove_unchecked_traced_on`] — the five protocol steps
 //!   (Witness Commits, Gate Identity, Wiring Identity, Batch Evaluations,
 //!   Polynomial Opening), each exercising the kernels the accelerator builds
-//!   units for; the `*_msm_on` variants pin the MSM engine configuration;
+//!   units for; the explicit form pins the MSM engine configuration and
+//!   returns per-step measurements;
 //! * [`verify`] — the succinct verifier;
 //! * [`mock_circuit`] / [`NAMED_WORKLOADS`] — the synthetic workloads the
 //!   paper evaluates on (Table 3);
@@ -61,17 +62,16 @@ pub mod workloads;
 pub use builder::{CircuitBuilder, Variable};
 pub use circuit::{Circuit, GateSelectors, SatisfactionError, WireColumn, Witness};
 pub use keys::{
-    bind_circuit_to_transcript, try_preprocess, try_preprocess_on, try_preprocess_with_budget_on,
-    PreprocessError, ProvingKey, VerifyingKey,
+    bind_circuit_to_transcript, try_preprocess, try_preprocess_with_budget_on, PreprocessError,
+    ProvingKey, VerifyingKey,
 };
 pub use mock::{mock_circuit, NamedWorkload, SparsityProfile, NAMED_WORKLOADS};
 pub use profile::{profile_kernels, KernelProfile, BYTES_PER_FIELD_ELEMENT, BYTES_PER_G1_POINT};
 pub use proof::{query_groups, BatchEvaluations, PolyLabel, Proof, QueryGroup};
 pub use prover::{
-    prove_batch_msm_on, prove_batch_on, prove_batch_with_reports_msm_on,
-    prove_batch_with_reports_traced_on, prove_on, prove_unchecked_msm_on, prove_unchecked_on,
-    prove_unchecked_traced_on, prove_with_report_msm_on, prove_with_report_on, ProtocolStep,
-    ProveError, ProverReport, GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE,
+    prove_batch_with_reports_traced_on, prove_on, prove_unchecked_msm_on,
+    prove_unchecked_traced_on, ProtocolStep, ProveError, ProverReport, GATE_SUMCHECK_DEGREE,
+    OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE,
 };
 pub use serialize::{KIND_CIRCUIT, KIND_PROOF, KIND_VERIFYING_KEY, KIND_WITNESS};
 pub use stats::{CircuitStats, ColumnStats, GateKindCounts};

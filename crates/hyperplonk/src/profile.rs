@@ -15,6 +15,7 @@
 
 use zkspeed_field::{modmul_count, reset_modmul_count, Fr};
 use zkspeed_poly::{fraction_mle, product_mle, MultilinearPoly, VirtualPolynomial};
+use zkspeed_rt::par::with_threads;
 use zkspeed_rt::Rng;
 use zkspeed_sumcheck::round_polynomial;
 
@@ -55,11 +56,19 @@ impl KernelProfile {
 /// sizes. Rows are returned sorted by arithmetic intensity, matching the
 /// paper's presentation.
 ///
+/// The modmul counters are thread-local, so every kernel runs on the calling
+/// thread (under [`with_threads(1, …)`](with_threads)); the counts are then
+/// exact and identical at any `ZKSPEED_THREADS`.
+///
 /// # Panics
 ///
 /// Panics if `num_vars < 2`.
 pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<KernelProfile> {
     assert!(num_vars >= 2, "profiling needs at least 4 gates");
+    with_threads(1, || profile_on_this_thread(num_vars, rng))
+}
+
+fn profile_on_this_thread<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<KernelProfile> {
     let n = 1usize << num_vars;
     let fe = BYTES_PER_FIELD_ELEMENT as u64;
     let (circuit, witness) = mock_circuit(num_vars, SparsityProfile::paper_default(), rng);

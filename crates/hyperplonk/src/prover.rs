@@ -10,11 +10,14 @@
 //! | 4. Batch Evaluations | MLE Evaluate |
 //! | 5. Polynomial Opening | MLE Combine, Build MLE, SumCheck (OpenCheck), halving MSMs |
 //!
-//! [`prove_with_report_on`] also returns wall-clock and operation-count
-//! measurements per step; these calibrate the CPU baseline model used by the
-//! accelerator's design-space exploration. The `*_msm_on` variants
-//! additionally pin the MSM engine configuration
-//! ([`zkspeed_curve::MsmConfig`]) used by every commitment and opening.
+//! [`prove_on`] is the default form: it checks the witness and proves with
+//! the default MSM configuration. The explicit forms
+//! [`prove_unchecked_traced_on`] and [`prove_batch_with_reports_traced_on`]
+//! take the MSM engine configuration ([`zkspeed_curve::MsmConfig`]) used by
+//! every commitment and opening plus a [`TraceSink`], and also return
+//! wall-clock and operation-count measurements per step; these calibrate
+//! the CPU baseline model used by the accelerator's design-space
+//! exploration.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -127,7 +130,7 @@ impl core::fmt::Display for ProveError {
 impl std::error::Error for ProveError {}
 
 /// Proves that `witness` satisfies the circuit in `pk` on an explicit
-/// execution backend.
+/// execution backend with the default MSM configuration.
 ///
 /// # Errors
 ///
@@ -138,108 +141,28 @@ pub fn prove_on(
     witness: &Witness,
     backend: &Arc<dyn Backend>,
 ) -> Result<Proof, ProveError> {
-    prove_with_report_on(pk, witness, backend).map(|(proof, _)| proof)
-}
-
-/// [`prove_on`], additionally returning per-step measurements.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] if the witness fails the
-/// circuit's gate or wiring constraints.
-pub fn prove_with_report_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-) -> Result<(Proof, ProverReport), ProveError> {
-    prove_with_report_msm_on(pk, witness, backend, MsmConfig::default())
-}
-
-/// [`prove_with_report_on`] with an explicit MSM engine configuration for
-/// every commitment and opening of the proof (witness commits, φ/π commits,
-/// halving opening MSMs). Every configuration produces bit-identical proof
-/// encodings; only the operation schedule (and therefore the report's
-/// counters) differs.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] if the witness fails the
-/// circuit's gate or wiring constraints.
-pub fn prove_with_report_msm_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
-) -> Result<(Proof, ProverReport), ProveError> {
     pk.circuit
         .check_witness(witness)
         .map_err(ProveError::UnsatisfiedWitness)?;
-    Ok(prove_unchecked_msm_on(pk, witness, backend, msm))
+    let disabled = TraceSink::disabled();
+    Ok(prove_unchecked_traced_on(pk, witness, backend, MsmConfig::default(), &disabled, 0).0)
 }
 
 /// Proves every witness in `witnesses` against the same proving key,
-/// fanning the independent proofs out across the backend's worker pool.
+/// fanning the independent proofs out across the backend's worker pool, and
+/// returns each proof with its per-step measurements (the proving service
+/// merges the reports' MSM statistics into its metrics rollups).
 ///
 /// All witnesses are validated up front; the proofs are returned in input
-/// order and each is bit-identical to a [`prove_on`] run of the same
-/// witness on any backend.
+/// order and each is bit-identical to a [`prove_on`] run of the same witness
+/// on any backend and with any MSM configuration.
 ///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
-/// (no proving work is started in that case).
-pub fn prove_batch_on(
-    pk: &ProvingKey,
-    witnesses: &[Witness],
-    backend: &Arc<dyn Backend>,
-) -> Result<Vec<Proof>, ProveError> {
-    prove_batch_msm_on(pk, witnesses, backend, MsmConfig::default())
-}
-
-/// [`prove_batch_on`] with an explicit MSM engine configuration.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
-/// (no proving work is started in that case).
-pub fn prove_batch_msm_on(
-    pk: &ProvingKey,
-    witnesses: &[Witness],
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
-) -> Result<Vec<Proof>, ProveError> {
-    Ok(
-        prove_batch_with_reports_msm_on(pk, witnesses, backend, msm)?
-            .into_iter()
-            .map(|(proof, _)| proof)
-            .collect(),
-    )
-}
-
-/// [`prove_batch_msm_on`], additionally returning each proof's per-step
-/// measurements — the proving service merges the reports' MSM statistics
-/// into its metrics rollups. Proofs are bit-identical to the report-free
-/// variant.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
-/// (no proving work is started in that case).
-pub fn prove_batch_with_reports_msm_on(
-    pk: &ProvingKey,
-    witnesses: &[Witness],
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
-) -> Result<Vec<(Proof, ProverReport)>, ProveError> {
-    prove_batch_with_reports_traced_on(pk, witnesses, backend, msm, &TraceSink::disabled(), &[])
-}
-
-/// [`prove_batch_with_reports_msm_on`] with phase-level tracing: every
-/// protocol step, SumCheck round and MSM pass of every proof records a span
-/// into `trace`, tagged with the corresponding id from `job_ids` (pass an
-/// empty slice to tag all proofs with job id 0). Tracing observes wall time
-/// only — it never touches the transcript or the work schedule — so proofs
-/// are bit-identical with tracing on or off.
+/// Every protocol step, SumCheck round and MSM pass of every proof records a
+/// span into `trace`, tagged with the corresponding id from `job_ids` (pass
+/// an empty slice to tag all proofs with job id 0). Tracing observes wall
+/// time only — it never touches the transcript or the work schedule — so
+/// proofs are bit-identical with tracing on or off; pass
+/// [`TraceSink::disabled`] to record nothing.
 ///
 /// # Errors
 ///
@@ -276,15 +199,16 @@ pub fn prove_batch_with_reports_traced_on(
     }
     // One job per proof; each job still hands its inner MSM / SumCheck work
     // to the same pool, and the pool's helping scheduler keeps every thread
-    // busy across proof boundaries. Modmul deltas are re-added in input
-    // order so profiling counters match a serial batch.
+    // busy across proof boundaries.
     let job_pk = pk.clone();
     let job_witnesses = witnesses.to_vec();
     let job_tags: Vec<u64> = (0..witnesses.len()).map(job_id).collect();
     let job_trace = trace.clone();
     let inner = Arc::clone(backend);
-    let proofs = pool::map_indices_on(&**backend, witnesses.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| {
+    Ok(pool::map_indices_on(
+        &**backend,
+        witnesses.len(),
+        move |i| {
             prove_unchecked_traced_on(
                 &job_pk,
                 &job_witnesses[i],
@@ -293,30 +217,11 @@ pub fn prove_batch_with_reports_traced_on(
                 &job_trace,
                 job_tags[i],
             )
-        })
-    });
-    Ok(proofs
-        .into_iter()
-        .map(|(proved, muls)| {
-            zkspeed_field::add_modmul_count(muls);
-            proved
-        })
-        .collect())
+        },
+    ))
 }
 
-/// Runs the prover without checking witness satisfiability first.
-///
-/// Used by soundness tests (an unsatisfied witness yields a proof the
-/// verifier rejects) and by callers that have already validated the witness.
-pub fn prove_unchecked_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-) -> (Proof, ProverReport) {
-    prove_unchecked_msm_on(pk, witness, backend, MsmConfig::default())
-}
-
-/// [`prove_unchecked_on`] with an explicit MSM engine configuration.
+/// [`prove_unchecked_traced_on`] with tracing disabled.
 pub fn prove_unchecked_msm_on(
     pk: &ProvingKey,
     witness: &Witness,
@@ -326,8 +231,12 @@ pub fn prove_unchecked_msm_on(
     prove_unchecked_traced_on(pk, witness, backend, msm, &TraceSink::disabled(), 0)
 }
 
-/// [`prove_unchecked_msm_on`] with phase-level tracing (see
+/// Runs the prover without checking witness satisfiability first, with an
+/// explicit MSM engine configuration and phase-level tracing (see
 /// [`prove_batch_with_reports_traced_on`] for the tracing contract).
+///
+/// Used by soundness tests (an unsatisfied witness yields a proof the
+/// verifier rejects) and by callers that have already validated the witness.
 pub fn prove_unchecked_traced_on(
     pk: &ProvingKey,
     witness: &Witness,
@@ -364,19 +273,16 @@ pub fn prove_unchecked_traced_on(
     let column_commitments = pool::map_indices_on(&**backend, 3, move |j| {
         let _msm_span =
             job_trace.span_with("msm-witness", "msm", &[("job", job), ("column", j as u64)]);
-        zkspeed_field::measure_modmuls(|| {
-            commit_sparse_with_tables_on(
-                &Serial,
-                &job_srs,
-                &job_columns[j],
-                msm,
-                job_tables.as_deref(),
-            )
-        })
+        commit_sparse_with_tables_on(
+            &Serial,
+            &job_srs,
+            &job_columns[j],
+            msm,
+            job_tables.as_deref(),
+        )
     });
     let mut witness_commitments = Vec::with_capacity(3);
-    for ((com, stats), muls) in column_commitments {
-        zkspeed_field::add_modmul_count(muls);
+    for (com, stats) in column_commitments {
         report.witness_msm.zeros += stats.zeros;
         report.witness_msm.ones += stats.ones;
         report.witness_msm.dense += stats.dense;
@@ -458,15 +364,11 @@ pub fn prove_unchecked_traced_on(
     let wiring_commitments = pool::map_indices_on(&**backend, 2, move |j| {
         let _msm_span =
             job_trace.span_with("msm-wiring", "msm", &[("job", job), ("poly", j as u64)]);
-        zkspeed_field::measure_modmuls(|| {
-            commit_with_tables_on(&*inner, &job_srs, &job_polys[j], msm, job_tables.as_deref())
-        })
+        commit_with_tables_on(&*inner, &job_srs, &job_polys[j], msm, job_tables.as_deref())
     });
     let mut wiring_iter = wiring_commitments.into_iter();
-    let ((phi_commitment, phi_stats), phi_muls) = wiring_iter.next().expect("two jobs");
-    let ((pi_commitment, pi_stats), pi_muls) = wiring_iter.next().expect("two jobs");
-    zkspeed_field::add_modmul_count(phi_muls);
-    zkspeed_field::add_modmul_count(pi_muls);
+    let (phi_commitment, phi_stats) = wiring_iter.next().expect("two jobs");
+    let (pi_commitment, pi_stats) = wiring_iter.next().expect("two jobs");
     report.wiring_msm.merge(&phi_stats);
     report.wiring_msm.merge(&pi_stats);
     transcript.append_message(b"phi-commitment", &phi_commitment.to_transcript_bytes());
@@ -529,15 +431,10 @@ pub fn prove_unchecked_traced_on(
                 .map(|label| (resolve(*label).clone(), g.point.clone()))
         })
         .collect();
-    let evaluated = pool::map_indices_on(&**backend, queries.len(), move |i| {
+    let flat_values = pool::map_indices_on(&**backend, queries.len(), move |i| {
         let (poly, point) = &queries[i];
-        zkspeed_field::measure_modmuls(|| poly.evaluate(point))
+        poly.evaluate(point)
     });
-    let mut flat_values = Vec::with_capacity(evaluated.len());
-    for (value, muls) in evaluated {
-        zkspeed_field::add_modmul_count(muls);
-        flat_values.push(value);
-    }
     let mut flat_iter = flat_values.into_iter();
     let evaluations = BatchEvaluations {
         values: groups
@@ -565,18 +462,11 @@ pub fn prove_unchecked_traced_on(
             (coeffs, polys)
         })
         .collect();
-    let combined = pool::map_indices_on(&**backend, combine_inputs.len(), move |i| {
+    let combined_polys = pool::map_indices_on(&**backend, combine_inputs.len(), move |i| {
         let (coeffs, polys) = &combine_inputs[i];
-        zkspeed_field::measure_modmuls(|| {
-            let refs: Vec<&MultilinearPoly> = polys.iter().collect();
-            MultilinearPoly::linear_combination(coeffs, &refs)
-        })
+        let refs: Vec<&MultilinearPoly> = polys.iter().collect();
+        MultilinearPoly::linear_combination(coeffs, &refs)
     });
-    let mut combined_polys = Vec::with_capacity(groups.len());
-    for (poly, muls) in combined {
-        zkspeed_field::add_modmul_count(muls);
-        combined_polys.push(poly);
-    }
     // OpenCheck: Σ_i cⁱ · yᵢ(x) · kᵢ(x) summed over the hypercube equals the
     // combined claimed evaluations.
     let c = transcript.challenge_scalar(b"opencheck-combine");
@@ -597,14 +487,9 @@ pub fn prove_unchecked_traced_on(
     // Claimed evaluations of the combined polynomials at ρ: one job each.
     let eval_polys = combined_polys.clone();
     let eval_rho = rho.clone();
-    let evaluated = pool::map_indices_on(&**backend, combined_polys.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| eval_polys[i].evaluate(&eval_rho))
+    let combined_evaluations = pool::map_indices_on(&**backend, combined_polys.len(), move |i| {
+        eval_polys[i].evaluate(&eval_rho)
     });
-    let mut combined_evaluations = Vec::with_capacity(combined_polys.len());
-    for (value, muls) in evaluated {
-        zkspeed_field::add_modmul_count(muls);
-        combined_evaluations.push(value);
-    }
     transcript.append_scalars(b"combined-evaluations", &combined_evaluations);
 
     // Final combination g′ and its halving-MSM opening.
@@ -678,6 +563,22 @@ mod tests {
         pool::ambient()
     }
 
+    /// Proves with `msm` and tracing off, returning the proof and report.
+    fn prove_report(pk: &ProvingKey, witness: &Witness, msm: MsmConfig) -> (Proof, ProverReport) {
+        prove_unchecked_traced_on(pk, witness, &backend(), msm, &TraceSink::disabled(), 0)
+    }
+
+    /// Batch-proves with the default config, tracing into `sink`.
+    fn prove_batch(
+        pk: &ProvingKey,
+        witnesses: &[Witness],
+        sink: &TraceSink,
+        job_ids: &[u64],
+    ) -> Result<Vec<(Proof, ProverReport)>, ProveError> {
+        let msm = MsmConfig::default();
+        prove_batch_with_reports_traced_on(pk, witnesses, &backend(), msm, sink, job_ids)
+    }
+
     #[test]
     fn powers_helper() {
         let p = powers(Fr::from_u64(3), 4);
@@ -700,8 +601,7 @@ mod tests {
         let srs = Srs::setup(mu, &mut r);
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
         let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
-        let (proof, report) =
-            prove_with_report_on(&pk, &witness, &backend()).expect("valid witness");
+        let (proof, report) = prove_report(&pk, &witness, MsmConfig::default());
         assert_eq!(proof.gate_zerocheck.num_rounds(), mu);
         assert_eq!(proof.perm_zerocheck.num_rounds(), mu);
         assert_eq!(proof.opencheck.num_rounds(), mu);
@@ -732,8 +632,8 @@ mod tests {
             prove_on(&pk, &witness, &backend()),
             Err(ProveError::UnsatisfiedWitness(_))
         ));
-        // prove_unchecked_on still produces a (bogus) proof object.
-        let (proof, _) = prove_unchecked_on(&pk, &witness, &backend());
+        // The unchecked prover still produces a (bogus) proof object.
+        let (proof, _) = prove_report(&pk, &witness, MsmConfig::default());
         assert_eq!(proof.gate_zerocheck.num_rounds(), mu);
     }
 
@@ -745,17 +645,18 @@ mod tests {
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
         let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
         let witnesses = vec![witness.clone(), witness.clone(), witness];
-        let batch = prove_batch_on(&pk, &witnesses, &backend()).expect("valid witnesses");
+        let disabled = TraceSink::disabled();
+        let batch = prove_batch(&pk, &witnesses, &disabled, &[]).expect("valid witnesses");
         assert_eq!(batch.len(), 3);
         let single = prove_on(&pk, &witnesses[0], &backend()).expect("valid witness");
-        for proof in &batch {
+        for (proof, _) in &batch {
             assert_eq!(*proof, single, "batch proofs must match individual runs");
         }
         // An invalid witness anywhere in the batch fails the whole call.
         let mut bad = witnesses.clone();
         bad[1].columns[2].evaluations_mut()[0] += Fr::one();
         assert!(matches!(
-            prove_batch_on(&pk, &bad, &backend()),
+            prove_batch(&pk, &bad, &disabled, &[]),
             Err(ProveError::UnsatisfiedWitness(_))
         ));
     }
@@ -767,20 +668,8 @@ mod tests {
         let srs = Srs::setup(mu, &mut r);
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
         let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
-        let (reference, _) = prove_with_report_msm_on(
-            &pk,
-            &witness,
-            &backend(),
-            zkspeed_curve::MsmConfig::classic(),
-        )
-        .expect("valid witness");
-        let (optimized, _) = prove_with_report_msm_on(
-            &pk,
-            &witness,
-            &backend(),
-            zkspeed_curve::MsmConfig::optimized(),
-        )
-        .expect("valid witness");
+        let (reference, _) = prove_report(&pk, &witness, MsmConfig::classic());
+        let (optimized, _) = prove_report(&pk, &witness, MsmConfig::optimized());
         assert_eq!(optimized, reference);
     }
 
@@ -792,23 +681,9 @@ mod tests {
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
         let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
         let witnesses = vec![witness.clone(), witness];
-        let plain = prove_batch_with_reports_msm_on(
-            &pk,
-            &witnesses,
-            &backend(),
-            zkspeed_curve::MsmConfig::default(),
-        )
-        .expect("valid witnesses");
-        let sink = zkspeed_rt::trace::TraceSink::enabled();
-        let traced = prove_batch_with_reports_traced_on(
-            &pk,
-            &witnesses,
-            &backend(),
-            zkspeed_curve::MsmConfig::default(),
-            &sink,
-            &[41, 42],
-        )
-        .expect("valid witnesses");
+        let plain = prove_batch(&pk, &witnesses, &TraceSink::disabled(), &[]).expect("valid");
+        let sink = TraceSink::enabled();
+        let traced = prove_batch(&pk, &witnesses, &sink, &[41, 42]).expect("valid witnesses");
         for ((p, _), (t, _)) in plain.iter().zip(traced.iter()) {
             assert_eq!(
                 p.to_bytes(),

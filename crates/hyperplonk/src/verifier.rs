@@ -287,9 +287,10 @@ mod tests {
     use super::*;
     use crate::keys::try_preprocess;
     use crate::mock::{mock_circuit, SparsityProfile};
-    use crate::prover::{prove_on, prove_unchecked_on};
+    use crate::prover::{prove_on, prove_unchecked_traced_on};
     use zkspeed_pcs::Srs;
     use zkspeed_rt::pool;
+    use zkspeed_rt::trace::TraceSink;
 
     fn backend() -> std::sync::Arc<dyn zkspeed_rt::pool::Backend> {
         pool::ambient()
@@ -322,7 +323,8 @@ mod tests {
         let (pk, vk) = try_preprocess(circuit, &srs).unwrap();
         // Break one gate output.
         witness.columns[2].evaluations_mut()[3] += Fr::one();
-        let (proof, _) = prove_unchecked_on(&pk, &witness, &backend());
+        let (msm, off) = (zkspeed_curve::MsmConfig::default(), TraceSink::disabled());
+        let (proof, _) = prove_unchecked_traced_on(&pk, &witness, &backend(), msm, &off, 0);
         assert!(verify(&vk, &proof).is_err());
     }
 

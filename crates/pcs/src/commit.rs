@@ -4,13 +4,13 @@
 //! Lagrange basis — exactly the operation the zkSpeed MSM unit accelerates
 //! in the Witness Commit and Wiring Identity steps.
 
-use zkspeed_curve::{G1Projective, MsmStats, SparseMsmStats};
+use zkspeed_curve::{G1Projective, MsmConfig, MsmStats, SparseMsmStats};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{DecodeError, Reader};
 use zkspeed_rt::pool::{Ambient, Backend};
 
-use crate::precompute::{wants_tables, CommitTables};
+use crate::precompute::CommitTables;
 use crate::srs::Srs;
 
 /// A commitment to a multilinear polynomial (one G1 point).
@@ -72,66 +72,14 @@ impl Commitment {
     }
 }
 
-/// Commits to a multilinear polynomial with a dense Pippenger MSM.
+/// Commits to a multilinear polynomial with a dense Pippenger MSM on the
+/// ambient backend and the default MSM configuration.
 ///
 /// # Panics
 ///
 /// Panics if the polynomial is larger than the SRS supports.
 pub fn commit(srs: &Srs, poly: &MultilinearPoly) -> Commitment {
-    commit_on(&Ambient, srs, poly)
-}
-
-/// [`commit`] on an explicit execution backend. The MSM windows fan out
-/// over the backend's workers, sharing the SRS basis without copying it.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_on(backend: &dyn Backend, srs: &Srs, poly: &MultilinearPoly) -> Commitment {
-    commit_with_stats_on(backend, srs, poly).0
-}
-
-/// Commits with a dense MSM and returns the operation counts for the
-/// hardware model.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_with_stats(srs: &Srs, poly: &MultilinearPoly) -> (Commitment, MsmStats) {
-    commit_with_stats_on(&Ambient, srs, poly)
-}
-
-/// [`commit_with_stats`] on an explicit execution backend.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_with_stats_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-) -> (Commitment, MsmStats) {
-    commit_with_config_on(backend, srs, poly, zkspeed_curve::MsmConfig::default())
-}
-
-/// [`commit_with_stats_on`] with an explicit MSM engine configuration
-/// (window size, signed digits, schedule, batch-affine threshold — see
-/// [`zkspeed_curve::MsmConfig`]). Every configuration commits to the same
-/// group element; only the operation schedule differs.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_with_config_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
-) -> (Commitment, MsmStats) {
-    let basis = shared_basis_for(srs, poly);
-    let (point, stats) =
-        zkspeed_curve::msm_with_config_shared(backend, basis, poly.evaluations(), config);
-    (Commitment(point), stats)
+    commit_with_tables_on(&Ambient, srs, poly, MsmConfig::default(), None).0
 }
 
 /// Commits to a (typically sparse) witness polynomial with the Sparse MSM of
@@ -142,50 +90,15 @@ pub fn commit_with_config_on(
 ///
 /// Panics if the polynomial is larger than the SRS supports.
 pub fn commit_sparse(srs: &Srs, poly: &MultilinearPoly) -> (Commitment, SparseMsmStats) {
-    commit_sparse_on(&Ambient, srs, poly)
+    commit_sparse_with_tables_on(&Ambient, srs, poly, MsmConfig::default(), None)
 }
 
-/// [`commit_sparse`] on an explicit execution backend.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_sparse_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-) -> (Commitment, SparseMsmStats) {
-    commit_sparse_with_config_on(backend, srs, poly, zkspeed_curve::MsmConfig::default())
-}
-
-/// [`commit_sparse_on`] with an explicit MSM engine configuration for the
-/// dense remainder of the sparse split.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_sparse_with_config_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
-) -> (Commitment, SparseMsmStats) {
-    let basis = shared_basis_for(srs, poly);
-    let (point, stats) = zkspeed_curve::sparse_msm_with_config_on(
-        backend,
-        basis.as_slice(),
-        poly.evaluations(),
-        config,
-    );
-    (Commitment(point), stats)
-}
-
-/// [`commit_with_config_on`] consulting per-session precomputed tables:
-/// when the configuration selects
-/// [`MsmSchedule::Precomputed`](zkspeed_curve::MsmSchedule) and the
-/// polynomial's SRS level has a built table, the commitment runs through
-/// the zero-doubling table engine; otherwise it transparently falls back
-/// to the table-free path. The group element is identical either way.
+/// [`commit`] on an explicit execution backend and MSM configuration,
+/// returning the operation counts for the hardware model. The MSM windows
+/// fan out over the backend's workers, sharing the SRS basis without
+/// copying it. When `tables` holds a precomputed table for the
+/// polynomial's SRS level, the commitment runs through the zero-doubling
+/// table engine instead; the group element is identical either way.
 ///
 /// # Panics
 ///
@@ -194,22 +107,27 @@ pub fn commit_with_tables_on(
     backend: &dyn Backend,
     srs: &Srs,
     poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
+    config: MsmConfig,
     tables: Option<&CommitTables>,
 ) -> (Commitment, MsmStats) {
-    if wants_tables(config) {
-        if let Some(table) = tables.and_then(|t| t.level(level_for(srs, poly))) {
-            let (point, stats) =
-                zkspeed_curve::msm_precomputed_on(backend, table, poly.evaluations(), config);
-            return (Commitment(point), stats);
+    let level = level_for(srs, poly);
+    let (point, stats) = match tables.and_then(|t| t.level(level)) {
+        Some(table) => {
+            zkspeed_curve::msm_precomputed_on(backend, table, poly.evaluations(), config)
         }
-    }
-    commit_with_config_on(backend, srs, poly, config)
+        None => zkspeed_curve::msm_with_config_shared(
+            backend,
+            srs.shared_lagrange_basis(level),
+            poly.evaluations(),
+            config,
+        ),
+    };
+    (Commitment(point), stats)
 }
 
-/// [`commit_sparse_with_config_on`] consulting per-session precomputed
-/// tables for the dense remainder and the 1-valued tree sum (see
-/// [`commit_with_tables_on`] for the fallback rules).
+/// [`commit_sparse`] on an explicit execution backend and MSM configuration
+/// for the dense remainder, consulting `tables` for the dense remainder and
+/// the 1-valued tree sum exactly as [`commit_with_tables_on`] does.
 ///
 /// # Panics
 ///
@@ -218,21 +136,22 @@ pub fn commit_sparse_with_tables_on(
     backend: &dyn Backend,
     srs: &Srs,
     poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
+    config: MsmConfig,
     tables: Option<&CommitTables>,
 ) -> (Commitment, SparseMsmStats) {
-    if wants_tables(config) {
-        if let Some(table) = tables.and_then(|t| t.level(level_for(srs, poly))) {
-            let (point, stats) = zkspeed_curve::sparse_msm_precomputed_on(
-                backend,
-                table,
-                poly.evaluations(),
-                config,
-            );
-            return (Commitment(point), stats);
+    let level = level_for(srs, poly);
+    let (point, stats) = match tables.and_then(|t| t.level(level)) {
+        Some(table) => {
+            zkspeed_curve::sparse_msm_precomputed_on(backend, table, poly.evaluations(), config)
         }
-    }
-    commit_sparse_with_config_on(backend, srs, poly, config)
+        None => zkspeed_curve::sparse_msm_with_config_on(
+            backend,
+            srs.lagrange_basis(level),
+            poly.evaluations(),
+            config,
+        ),
+    };
+    (Commitment(point), stats)
 }
 
 /// The SRS level a polynomial commits at, with the size check both the
@@ -245,14 +164,6 @@ fn level_for(srs: &Srs, poly: &MultilinearPoly) -> usize {
         srs.num_vars()
     );
     srs.num_vars() - poly.num_vars()
-}
-
-fn shared_basis_for<'a>(
-    srs: &'a Srs,
-    poly: &MultilinearPoly,
-) -> &'a std::sync::Arc<Vec<zkspeed_curve::G1Affine>> {
-    let level = level_for(srs, poly);
-    srs.shared_lagrange_basis(level)
 }
 
 #[cfg(test)]
@@ -290,7 +201,8 @@ mod tests {
         let (sparse, stats) = commit_sparse(&srs, &f);
         assert_eq!(dense, sparse);
         assert!(stats.zeros > 0 && stats.ones > 0 && stats.dense > 0);
-        let (dense2, msm_stats) = commit_with_stats(&srs, &f);
+        let (dense2, msm_stats) =
+            commit_with_tables_on(&Ambient, &srs, &f, MsmConfig::default(), None);
         assert_eq!(dense2, dense);
         assert!(msm_stats.fq_muls() > 0);
     }
@@ -346,37 +258,31 @@ mod tests {
         let srs = Srs::setup(6, &mut r);
         let tables = CommitTables::build_on(&srs, &PrecomputeBudget::unlimited(), &Serial)
             .expect("unlimited budget builds");
-        let config = zkspeed_curve::MsmConfig::precomputed();
         // Dense commit: covered level, uncovered level, and sparse commit
-        // all agree with the table-free engine.
-        let f = MultilinearPoly::random(6, &mut r);
-        let (plain, _) = commit_with_config_on(&Serial, &srs, &f, config);
-        let (tabled, stats) = commit_with_tables_on(&Serial, &srs, &f, config, Some(&tables));
-        assert_eq!(plain, tabled);
-        assert_eq!(stats.doublings, 0, "table path never doubles");
-        let small = MultilinearPoly::random(2, &mut r); // below the table floor
-        let (plain_small, _) = commit_with_config_on(&Serial, &srs, &small, config);
-        let (tabled_small, _) = commit_with_tables_on(&Serial, &srs, &small, config, Some(&tables));
-        assert_eq!(plain_small, tabled_small);
-        let sparse = MultilinearPoly::from_fn(6, |i| match i % 10 {
-            0..=3 => Fr::zero(),
-            4..=8 => Fr::one(),
-            _ => Fr::from_u64(i as u64 + 7),
-        });
-        let (plain_sparse, _) = commit_sparse_with_config_on(&Serial, &srs, &sparse, config);
-        let (tabled_sparse, sparse_stats) =
-            commit_sparse_with_tables_on(&Serial, &srs, &sparse, config, Some(&tables));
-        assert_eq!(plain_sparse, tabled_sparse);
-        assert_eq!(sparse_stats.ops.doublings, 0);
-        // A non-precomputed schedule ignores the tables entirely.
-        let (default_com, _) = commit_with_tables_on(
-            &Serial,
-            &srs,
-            &f,
-            zkspeed_curve::MsmConfig::default(),
-            Some(&tables),
-        );
-        assert_eq!(default_com, plain);
+        // all agree with the table-free engine, whatever the configuration.
+        for config in [MsmConfig::default(), MsmConfig::classic()] {
+            let f = MultilinearPoly::random(6, &mut r);
+            let (plain, _) = commit_with_tables_on(&Serial, &srs, &f, config, None);
+            let (tabled, stats) = commit_with_tables_on(&Serial, &srs, &f, config, Some(&tables));
+            assert_eq!(plain, tabled);
+            assert_eq!(stats.doublings, 0, "table path never doubles");
+            let small = MultilinearPoly::random(2, &mut r); // below the table floor
+            let (plain_small, _) = commit_with_tables_on(&Serial, &srs, &small, config, None);
+            let (tabled_small, _) =
+                commit_with_tables_on(&Serial, &srs, &small, config, Some(&tables));
+            assert_eq!(plain_small, tabled_small);
+            let sparse = MultilinearPoly::from_fn(6, |i| match i % 10 {
+                0..=3 => Fr::zero(),
+                4..=8 => Fr::one(),
+                _ => Fr::from_u64(i as u64 + 7),
+            });
+            let (plain_sparse, _) =
+                commit_sparse_with_tables_on(&Serial, &srs, &sparse, config, None);
+            let (tabled_sparse, sparse_stats) =
+                commit_sparse_with_tables_on(&Serial, &srs, &sparse, config, Some(&tables));
+            assert_eq!(plain_sparse, tabled_sparse);
+            assert_eq!(sparse_stats.ops.doublings, 0);
+        }
     }
 
     #[test]

@@ -41,12 +41,8 @@ mod precompute;
 mod srs;
 
 pub use commit::{
-    commit, commit_on, commit_sparse, commit_sparse_on, commit_sparse_with_config_on,
-    commit_sparse_with_tables_on, commit_with_config_on, commit_with_stats, commit_with_stats_on,
-    commit_with_tables_on, Commitment,
+    commit, commit_sparse, commit_sparse_with_tables_on, commit_with_tables_on, Commitment,
 };
-pub use open::{
-    open, open_on, open_with_config_on, open_with_tables_on, verify_opening, OpeningProof,
-};
+pub use open::{open, open_with_tables_on, verify_opening, OpeningProof};
 pub use precompute::{CommitTables, PrecomputeBudget};
 pub use srs::{SetupError, Srs, KIND_SRS, MAX_NUM_VARS};

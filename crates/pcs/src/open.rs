@@ -11,7 +11,7 @@
 //! the verifier checks the same identity a pairing check would —
 //! `Com(f) − v·G = Σ_k (τ_k − z_k)·Com(q_k)` — directly in G1.
 
-use zkspeed_curve::{G1Projective, MsmStats};
+use zkspeed_curve::{G1Projective, MsmConfig, MsmStats};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{DecodeError, Reader};
@@ -65,53 +65,15 @@ impl OpeningProof {
 /// Panics if the point length does not match the polynomial or the SRS is too
 /// small.
 pub fn open(srs: &Srs, poly: &MultilinearPoly, point: &[Fr]) -> (Fr, OpeningProof, MsmStats) {
-    open_on(&Ambient, srs, poly, point)
+    open_with_tables_on(&Ambient, srs, poly, point, MsmConfig::default(), None)
 }
 
-/// [`open`] on an explicit execution backend: the quotient construction,
-/// halving MSMs and MLE Updates of every round fan out over the backend's
-/// workers, bit-identical to the serial run.
-///
-/// # Panics
-///
-/// Panics if the point length does not match the polynomial or the SRS is too
-/// small.
-pub fn open_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    point: &[Fr],
-) -> (Fr, OpeningProof, MsmStats) {
-    open_with_config_on(
-        backend,
-        srs,
-        poly,
-        point,
-        zkspeed_curve::MsmConfig::default(),
-    )
-}
-
-/// [`open_on`] with an explicit MSM engine configuration for the halving
-/// quotient commitments (see [`zkspeed_curve::MsmConfig`]).
-///
-/// # Panics
-///
-/// Panics if the point length does not match the polynomial or the SRS is too
-/// small.
-pub fn open_with_config_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    point: &[Fr],
-    config: zkspeed_curve::MsmConfig,
-) -> (Fr, OpeningProof, MsmStats) {
-    open_with_tables_on(backend, srs, poly, point, config, None)
-}
-
-/// [`open_with_config_on`] consulting per-session precomputed tables for
-/// the halving quotient commitments: each round's quotient commits at one
-/// level higher than the last, so rounds whose level has a built
-/// [`CommitTables`](crate::CommitTables) table run through the
+/// [`open`] on an explicit execution backend and MSM configuration for the
+/// halving quotient commitments: the quotient construction, halving MSMs and
+/// MLE Updates of every round fan out over the backend's workers,
+/// bit-identical to the serial run. Each round's quotient commits at one
+/// level higher than the last, so rounds whose level has a table in
+/// `tables` ([`CommitTables`](crate::CommitTables)) run through the
 /// zero-doubling engine and the (tiny) tail rounds fall back. Proofs are
 /// bit-identical with or without tables.
 ///
@@ -124,7 +86,7 @@ pub fn open_with_tables_on(
     srs: &Srs,
     poly: &MultilinearPoly,
     point: &[Fr],
-    config: zkspeed_curve::MsmConfig,
+    config: MsmConfig,
     tables: Option<&crate::CommitTables>,
 ) -> (Fr, OpeningProof, MsmStats) {
     /// Below this many quotient entries the construction stays serial.
@@ -302,8 +264,8 @@ mod tests {
         let f = MultilinearPoly::random(6, &mut r);
         let com = commit(&srs, &f);
         let point: Vec<Fr> = (0..6).map(|_| Fr::random(&mut r)).collect();
-        let config = zkspeed_curve::MsmConfig::precomputed();
-        let (value, proof, _) = open_with_config_on(&Serial, &srs, &f, &point, config);
+        let config = MsmConfig::default();
+        let (value, proof, _) = open_with_tables_on(&Serial, &srs, &f, &point, config, None);
         let tables = CommitTables::build_on(&srs, &PrecomputeBudget::unlimited(), &Serial)
             .expect("unlimited budget builds");
         let (tvalue, tproof, tstats) =

@@ -5,15 +5,16 @@
 //!
 //! A session's bases never change after `preprocess`, so the Pippenger
 //! window doublings every `commit` repeats are pure waste on the serving
-//! path. With the tables built, the [`MsmSchedule::Precomputed`] engine
-//! commits with zero doublings and a single bucket-aggregation pass. The
-//! tables cost `O(n·⌈255/w⌉)` points of memory, so they are **opt-in** via
-//! a [`PrecomputeBudget`]: small or one-shot sessions keep the default
-//! (disabled) budget and skip the build entirely.
+//! path. With the tables built, the table engine
+//! ([`zkspeed_curve::msm_precomputed_on`]) commits with zero doublings and a
+//! single bucket-aggregation pass. The tables cost `O(n·⌈255/w⌉)` points of
+//! memory, so they are **opt-in** via a [`PrecomputeBudget`] — the only
+//! switch: small or one-shot sessions keep the default (disabled) budget and
+//! skip the build entirely.
 
 use std::sync::Arc;
 
-use zkspeed_curve::{MsmSchedule, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};
+use zkspeed_curve::{MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};
 use zkspeed_rt::pool::Backend;
 
 use crate::srs::Srs;
@@ -103,10 +104,9 @@ impl PrecomputeBudget {
 /// Built by [`CommitTables::build_on`] within a [`PrecomputeBudget`];
 /// consumed by [`crate::commit_with_tables_on`] /
 /// [`crate::commit_sparse_with_tables_on`] / [`crate::open_with_tables_on`]
-/// whenever the MSM configuration selects
-/// [`MsmSchedule::Precomputed`]. Levels without a table (budget exhausted,
-/// or below the build floor) transparently fall back to the table-free
-/// engine.
+/// for every level that has a table. Levels without a table (budget
+/// exhausted, or below the build floor) transparently fall back to the
+/// table-free engine.
 #[derive(Clone, Debug)]
 pub struct CommitTables {
     window_bits: usize,
@@ -172,13 +172,6 @@ impl CommitTables {
             .map(|t| t.size_in_bytes() as u64)
             .sum()
     }
-}
-
-/// Returns `true` when a commit at the given configuration should consult
-/// session tables (the schedule asks for them); used by the table-aware
-/// entry points to keep their fast path branch-free.
-pub(crate) fn wants_tables(config: zkspeed_curve::MsmConfig) -> bool {
-    config.schedule == MsmSchedule::Precomputed
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //! verifier-side only and contribute nothing to the prover workload the
 //! zkSpeed accelerator models, so this reproduction keeps the toxic waste τ
 //! inside [`Srs`] and verifies the *same algebraic identity* the pairing
-//! would check, but in G1 (see `open::verify_opening`). This is documented in
-//! DESIGN.md as a substitution; all prover-side computation (the MSMs) is
-//! identical to the real scheme.
+//! would check, but in G1 (see `open::verify_opening`). This is a documented
+//! substitution; all prover-side computation (the MSMs) is identical to the
+//! real scheme.
 
 use core::fmt;
 use std::sync::Arc;
@@ -124,22 +124,6 @@ impl Srs {
         Self::try_setup_with_tau(num_vars, tau)
     }
 
-    /// [`Srs::try_setup`] on an explicit execution backend: the `2^μ` basis
-    /// scalar multiplications of each level fan out over the backend's
-    /// workers (the dominant cost of setup).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SetupError::TooManyVariables`] if the size is unsupported.
-    pub fn try_setup_on<R: Rng + ?Sized>(
-        num_vars: usize,
-        rng: &mut R,
-        backend: &dyn Backend,
-    ) -> Result<Self, SetupError> {
-        let tau: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
-        Self::try_setup_with_tau_on(num_vars, tau, backend)
-    }
-
     /// Deterministic setup from an explicit τ (used by tests and by the
     /// repository's examples so results are reproducible).
     ///
@@ -165,7 +149,9 @@ impl Srs {
         Self::try_setup_with_tau_on(num_vars, tau, &pool::Ambient)
     }
 
-    /// [`Srs::try_setup_with_tau`] on an explicit execution backend.
+    /// [`Srs::try_setup_with_tau`] on an explicit execution backend: the
+    /// `2^μ` basis scalar multiplications of each level fan out over the
+    /// backend's workers (the dominant cost of setup).
     ///
     /// # Errors
     ///
@@ -197,9 +183,7 @@ impl Srs {
         // point of every level: each of the 2^{μ+1} scalar multiplications
         // becomes ⌈255/w⌉ table lookups + mixed additions instead of a full
         // double-and-add ladder (the dominant cost of setup).
-        let (table, table_muls) =
-            zkspeed_field::measure_modmuls(|| Arc::new(FixedBaseTable::for_generator()));
-        zkspeed_field::add_modmul_count(table_muls);
+        let table = Arc::new(FixedBaseTable::for_generator());
         let mut lagrange_bases = Vec::with_capacity(num_vars + 1);
         for k in 0..=num_vars {
             let suffix = &tau[k..];
@@ -207,14 +191,11 @@ impl Srs {
             let scalars = eq.shared_evaluations();
             let table = Arc::clone(&table);
             let chunks = pool::map_ranges(backend, scalars.len(), MIN_CHUNK, move |range| {
-                zkspeed_field::measure_modmuls(|| {
-                    let points: Vec<G1Projective> = range.map(|i| table.mul(&scalars[i])).collect();
-                    G1Projective::batch_to_affine(&points)
-                })
+                let points: Vec<G1Projective> = range.map(|i| table.mul(&scalars[i])).collect();
+                G1Projective::batch_to_affine(&points)
             });
             let mut level = Vec::with_capacity(1usize << (num_vars - k));
-            for (chunk, muls) in chunks {
-                zkspeed_field::add_modmul_count(muls);
+            for chunk in chunks {
                 level.extend(chunk);
             }
             lagrange_bases.push(Arc::new(level));

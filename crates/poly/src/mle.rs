@@ -145,12 +145,6 @@ impl MultilinearPoly {
         Arc::make_mut(&mut self.evals).as_mut_slice()
     }
 
-    /// Consumes the polynomial, returning the evaluation table (copying only
-    /// if the table is still shared elsewhere).
-    pub fn into_evaluations(self) -> Vec<Fr> {
-        Arc::try_unwrap(self.evals).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Builds the `eq(X, point)` table (the paper's **Build MLE**), where
     /// `eq(x, r) = Π_j (x_j·r_j + (1−x_j)(1−r_j))`.
     ///
@@ -202,21 +196,18 @@ impl MultilinearPoly {
                 let cur = Arc::new(std::mem::take(&mut evals));
                 let r = *r;
                 let parts = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
-                    zkspeed_field::measure_modmuls(|| {
-                        let mut lo = Vec::with_capacity(range.len());
-                        let mut hi = Vec::with_capacity(range.len());
-                        for i in range {
-                            let h = cur[i] * r;
-                            lo.push(cur[i] - h);
-                            hi.push(h);
-                        }
-                        (lo, hi)
-                    })
+                    let mut lo = Vec::with_capacity(range.len());
+                    let mut hi = Vec::with_capacity(range.len());
+                    for i in range {
+                        let h = cur[i] * r;
+                        lo.push(cur[i] - h);
+                        hi.push(h);
+                    }
+                    (lo, hi)
                 });
                 let mut next = Vec::with_capacity(half * 2);
                 let mut highs = Vec::with_capacity(half);
-                for ((lo, hi), muls) in parts {
-                    zkspeed_field::add_modmul_count(muls);
+                for (lo, hi) in parts {
                     next.extend(lo);
                     highs.push(hi);
                 }
@@ -282,19 +273,16 @@ impl MultilinearPoly {
         }
         let evals = self.shared_evaluations();
         let parts = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
-            zkspeed_field::measure_modmuls(|| {
-                range
-                    .map(|i| {
-                        let lo = evals[2 * i];
-                        let hi = evals[2 * i + 1];
-                        (hi - lo) * r + lo
-                    })
-                    .collect::<Vec<Fr>>()
-            })
+            range
+                .map(|i| {
+                    let lo = evals[2 * i];
+                    let hi = evals[2 * i + 1];
+                    (hi - lo) * r + lo
+                })
+                .collect::<Vec<Fr>>()
         });
         let mut next = Vec::with_capacity(half);
-        for (chunk, muls) in parts {
-            zkspeed_field::add_modmul_count(muls);
+        for chunk in parts {
             next.extend(chunk);
         }
         Self {

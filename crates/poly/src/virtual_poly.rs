@@ -135,13 +135,6 @@ impl VirtualPolynomial {
         });
     }
 
-    /// Convenience helper: registers the given MLEs and adds one term over
-    /// them (no deduplication).
-    pub fn add_product(&mut self, coefficient: Fr, mles: Vec<MultilinearPoly>) {
-        let indices: Vec<usize> = mles.into_iter().map(|m| self.add_mle(m)).collect();
-        self.add_term(coefficient, indices);
-    }
-
     /// Evaluates the virtual polynomial at one hypercube index.
     pub fn evaluate_at_index(&self, index: usize) -> Fr {
         let mut acc = Fr::zero();
@@ -226,16 +219,9 @@ impl VirtualPolynomial {
             return self.fix_first_variable(r);
         }
         let mles = self.mles.clone();
-        let updated = zkspeed_rt::pool::map_indices_on(backend, mles.len(), move |i| {
-            zkspeed_field::measure_modmuls(|| Arc::new(mles[i].fix_first_variable(r)))
+        let mles = zkspeed_rt::pool::map_indices_on(backend, mles.len(), move |i| {
+            Arc::new(mles[i].fix_first_variable(r))
         });
-        let mles = updated
-            .into_iter()
-            .map(|(mle, muls)| {
-                zkspeed_field::add_modmul_count(muls);
-                mle
-            })
-            .collect();
         Self {
             num_vars: self.num_vars - 1,
             mles,

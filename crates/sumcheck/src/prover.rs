@@ -190,9 +190,7 @@ pub fn round_polynomial(poly: &VirtualPolynomial, degree: usize) -> Vec<Fr> {
 /// over the backend's workers; each worker accumulates a local partial sum
 /// and the partials are added in chunk order. Field addition is exact mod
 /// p, so any chunking is bit-identical to the serial sweep. Inputs below an
-/// internal chunk floor never leave the calling thread. Workers measure
-/// their thread-local modmul delta, rewind it, and hand it back so
-/// profiling counters see the same totals at any thread count.
+/// internal chunk floor never leave the calling thread.
 pub fn round_polynomial_on(
     poly: &VirtualPolynomial,
     degree: usize,
@@ -213,12 +211,11 @@ pub fn round_polynomial_on(
     let mles = poly.mles().to_vec();
     let terms = poly.terms().to_vec();
     let partials = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
-        zkspeed_field::measure_modmuls(|| round_partial(&mles, &terms, range, num_points))
+        round_partial(&mles, &terms, range, num_points)
     });
 
     let mut acc = vec![Fr::zero(); num_points];
-    for (partial, muls) in partials {
-        zkspeed_field::add_modmul_count(muls);
+    for partial in partials {
         for (a, p) in acc.iter_mut().zip(partial) {
             *a += p;
         }

@@ -18,7 +18,7 @@
 //! shards round-robin at registration. Within a shard, the worker pops
 //! *waves* — up to `wave_size` queued jobs of one session and priority
 //! class — and proves them through
-//! [`prove_batch_with_reports_msm_on`], which fans the independent proofs
+//! [`prove_batch_with_reports_traced_on`], which fans the independent proofs
 //! out across the shard's pool. Proofs are canonical bytes; identical
 //! (circuit, witness) submissions produce byte-identical proofs regardless
 //! of queue order, priority or wave packing.
@@ -90,9 +90,8 @@ pub struct ServiceConfig {
     /// MSM engine configuration used by every session's prover.
     pub msm_config: MsmConfig,
     /// Opt-in budget for per-session precomputed commit tables, built once
-    /// at registration on the session's shard backend. Disabled by default;
-    /// pair with [`MsmSchedule::Precomputed`](zkspeed_curve::MsmSchedule)
-    /// in [`ServiceConfig::msm_config`] so the prover consumes the tables.
+    /// at registration on the session's shard backend and consumed by every
+    /// commit and opening of the session's proofs. Disabled by default.
     pub precompute: PrecomputeBudget,
     /// Deadline applied to jobs whose [`JobSpec`] does not carry one.
     /// Measured from acceptance; an expired job fails with

@@ -30,14 +30,14 @@
 
 use std::sync::Arc;
 
-use zkspeed_curve::{MsmConfig, MsmSchedule};
+use zkspeed_curve::MsmConfig;
 use zkspeed_hyperplonk::{
-    prove_batch_msm_on, prove_unchecked_msm_on, prove_with_report_msm_on,
-    try_preprocess_with_budget_on, verify, Circuit, Proof, ProverReport, ProvingKey, VerifyingKey,
-    Witness,
+    prove_batch_with_reports_traced_on, prove_unchecked_traced_on, try_preprocess_with_budget_on,
+    verify, Circuit, Proof, ProveError, ProverReport, ProvingKey, VerifyingKey, Witness,
 };
 use zkspeed_pcs::{PrecomputeBudget, Srs};
 use zkspeed_rt::pool::{self, Backend};
+use zkspeed_rt::trace::TraceSink;
 use zkspeed_svc::{ProvingService, ServiceConfig};
 
 use crate::error::Error;
@@ -96,18 +96,12 @@ impl ProofSystem {
     /// Opts the session into precomputed multi-base commit tables: every
     /// subsequent [`ProofSystem::preprocess`] builds per-level window tables
     /// over the SRS Lagrange bases within `budget` and stores them on the
-    /// proving key, and the session's MSM schedule switches to
-    /// [`MsmSchedule::Precomputed`] so commits and openings consume them —
-    /// zero doublings per scalar instead of one doubling per bit. Proof
-    /// bytes are identical either way; only the operation schedule changes.
-    /// An explicitly disabled budget reverts to the default schedule.
+    /// proving key, and every commit and opening at a level with a table
+    /// consumes it — zero doublings per scalar instead of one doubling per
+    /// bit. Proof bytes are identical either way; only the operation
+    /// schedule changes. A disabled budget (the default) builds no tables.
     pub fn with_precompute(mut self, budget: PrecomputeBudget) -> Self {
         self.precompute = budget;
-        self.msm_config.schedule = if budget.is_enabled() {
-            MsmSchedule::Precomputed
-        } else {
-            MsmConfig::default().schedule
-        };
         self
     }
 
@@ -196,12 +190,11 @@ impl ProverHandle {
     ///
     /// Returns [`Error::Prove`] if the witness is invalid.
     pub fn prove_with_report(&self, witness: &Witness) -> Result<(Proof, ProverReport), Error> {
-        Ok(prove_with_report_msm_on(
-            &self.pk,
-            witness,
-            &self.backend,
-            self.msm_config,
-        )?)
+        self.pk
+            .circuit
+            .check_witness(witness)
+            .map_err(ProveError::UnsatisfiedWitness)?;
+        Ok(self.prove_unchecked(witness))
     }
 
     /// Proves a batch of witnesses, fanning the independent proofs (and the
@@ -214,19 +207,30 @@ impl ProverHandle {
     /// Returns [`Error::Prove`] for the first invalid witness; no proving
     /// work starts in that case.
     pub fn prove_batch(&self, witnesses: &[Witness]) -> Result<Vec<Proof>, Error> {
-        Ok(prove_batch_msm_on(
+        let proved = prove_batch_with_reports_traced_on(
             &self.pk,
             witnesses,
             &self.backend,
             self.msm_config,
-        )?)
+            &TraceSink::disabled(),
+            &[],
+        )?;
+        Ok(proved.into_iter().map(|(proof, _)| proof).collect())
     }
 
     /// Runs the prover without checking witness satisfiability first (used
     /// by soundness tests: an unsatisfied witness yields a proof the
     /// verifier rejects).
     pub fn prove_unchecked(&self, witness: &Witness) -> (Proof, ProverReport) {
-        prove_unchecked_msm_on(&self.pk, witness, &self.backend, self.msm_config)
+        let disabled = TraceSink::disabled();
+        prove_unchecked_traced_on(
+            &self.pk,
+            witness,
+            &self.backend,
+            self.msm_config,
+            &disabled,
+            0,
+        )
     }
 
     /// The MSM engine configuration this handle proves with.
@@ -335,14 +339,12 @@ mod tests {
         let (plain_prover, _) = plain.preprocess(circuit.clone()).expect("fits");
         assert!(plain_prover.proving_key().commit_tables.is_none());
         let reference = plain_prover.prove(&witness).expect("valid witness");
+        let circuit_again = circuit.clone();
 
         let fast = ProofSystem::setup_with_backend(srs, Arc::new(ThreadPool::new(4)))
             .with_precompute(PrecomputeBudget::unlimited());
         assert!(fast.precompute().is_enabled());
-        assert!(matches!(
-            fast.msm_config().schedule,
-            MsmSchedule::Precomputed
-        ));
+        assert_eq!(fast.msm_config(), MsmConfig::default());
         let (prover, verifier) = fast.preprocess(circuit).expect("fits");
         let tables = prover
             .proving_key()
@@ -351,19 +353,17 @@ mod tests {
             .expect("unlimited budget builds tables");
         assert!(tables.size_in_bytes() > 0);
         let proof = prover.prove(&witness).expect("valid witness");
-        assert_eq!(
-            proof, reference,
-            "precomputed-schedule proofs must be byte-identical"
-        );
+        assert_eq!(proof, reference, "table proofs must be byte-identical");
         verifier.verify(&proof).expect("verifies");
+        // The budget alone switched the tables on: the wiring commits ran on
+        // the zero-doubling engine.
+        let (_, report) = prover.prove_with_report(&witness).expect("valid witness");
+        assert_eq!(report.wiring_msm.doublings, 0);
 
-        // Disabling the budget reverts the schedule too.
         let reverted = fast.with_precompute(PrecomputeBudget::disabled());
         assert!(!reverted.precompute().is_enabled());
-        assert!(matches!(
-            reverted.msm_config().schedule,
-            MsmSchedule::IntraWindow { chunks: 0 }
-        ));
+        let (plain_prover, _) = reverted.preprocess(circuit_again).expect("fits");
+        assert!(plain_prover.proving_key().commit_tables.is_none());
     }
 
     #[test]

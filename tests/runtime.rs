@@ -2,7 +2,8 @@
 //! PRNG determinism (same seed → same stream, cross-thread independence) and
 //! backend equivalence — the same seed under `Serial`, `ThreadPool(1)` and
 //! `ThreadPool(8)` must produce bit-identical proof encodings and identical
-//! modmul counters, for single proofs and for `prove_batch`.
+//! prover operation counts, for single proofs and for `prove_batch` — and the
+//! Table 1 kernel profile must not depend on the thread count.
 //!
 //! The ambient-configuration tests pin the worker count with
 //! `zkspeed_rt::par::with_threads`, so they compare the true serial path
@@ -14,13 +15,14 @@ use std::sync::Arc;
 
 use zkspeed::prelude::*;
 use zkspeed_curve::{
-    msm_precomputed_on, msm_with_config, naive_msm, sparse_msm, G1Affine, G1Projective, MsmConfig,
-    MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
+    msm_precomputed_on, msm_with_config_on, naive_msm, sparse_msm, G1Affine, G1Projective,
+    MsmConfig, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
 };
 use zkspeed_field::Fr;
-use zkspeed_hyperplonk::mock_circuit;
+use zkspeed_hyperplonk::{mock_circuit, profile_kernels};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::par::with_threads;
+use zkspeed_rt::pool::Ambient;
 use zkspeed_rt::Rng;
 use zkspeed_sumcheck::round_polynomial;
 
@@ -94,9 +96,14 @@ fn random_msm_instance(n: usize, seed: u64) -> (Vec<G1Affine>, Vec<Fr>) {
 fn msm_parallel_matches_serial_bitwise() {
     let (points, scalars) = random_msm_instance(512, 0xD5EE_D010);
     let config = MsmConfig::default();
-    let serial = with_threads(1, || msm_with_config(&points, &scalars, config));
+    let run = |threads| {
+        with_threads(threads, || {
+            msm_with_config_on(&Ambient, &points, &scalars, config)
+        })
+    };
+    let serial = run(1);
     for threads in [2usize, 8] {
-        let parallel = with_threads(threads, || msm_with_config(&points, &scalars, config));
+        let parallel = run(threads);
         assert_eq!(parallel.0, serial.0, "{threads}-thread MSM result drifted");
         assert_eq!(parallel.1, serial.1, "{threads}-thread MSM stats drifted");
     }
@@ -152,10 +159,15 @@ fn msm_schedules_agree_and_are_thread_count_invariant() {
     let (points, scalars) = random_msm_instance(512, 0xD5EE_D014);
     let expect = naive_msm(&points, &scalars);
     for (name, config) in msm_schedule_matrix() {
-        let serial = with_threads(1, || msm_with_config(&points, &scalars, config));
+        let run = |threads| {
+            with_threads(threads, || {
+                msm_with_config_on(&Ambient, &points, &scalars, config)
+            })
+        };
+        let serial = run(1);
         assert_eq!(serial.0, expect, "{name}: wrong result");
         for threads in [2usize, 8] {
-            let parallel = with_threads(threads, || msm_with_config(&points, &scalars, config));
+            let parallel = run(threads);
             assert_eq!(
                 parallel.0, serial.0,
                 "{name}: {threads}-thread result drifted"
@@ -179,7 +191,7 @@ fn precomputed_msm_results_and_stats_are_thread_count_invariant() {
         &points,
         MULTI_BASE_DEFAULT_WINDOW_BITS,
     ));
-    let config = MsmConfig::precomputed();
+    let config = MsmConfig::default();
     let serial = msm_precomputed_on(&Serial, &table, &scalars, config);
     assert_eq!(serial.0, expect, "precomputed MSM computed a wrong result");
     for threads in [1usize, 2, 8] {
@@ -191,20 +203,17 @@ fn precomputed_msm_results_and_stats_are_thread_count_invariant() {
 }
 
 #[test]
-fn modmul_counters_are_thread_count_invariant() {
-    // The kernel profiler (Table 1) reads thread-local modmul counters;
-    // parallel workers must hand their counts back to the spawning thread.
-    let (points, scalars) = random_msm_instance(256, 0xD5EE_D013);
-    let count = |threads: usize| {
-        with_threads(threads, || {
-            let before = zkspeed_field::modmul_count();
-            let _ = msm_with_config(&points, &scalars, MsmConfig::default());
-            zkspeed_field::modmul_count().since(&before)
-        })
+fn kernel_profile_is_thread_count_invariant() {
+    // The kernel profiler (Table 1) reads thread-local modmul counters, so it
+    // must keep every kernel on the calling thread whatever the ambient
+    // thread count: the rows (modmuls and table sizes) must not move.
+    let profile = |threads: usize| {
+        let mut rng = StdRng::seed_from_u64(0xD5EE_D013);
+        with_threads(threads, || profile_kernels(8, &mut rng))
     };
-    let serial = count(1);
-    assert!(serial.total() > 0, "MSM must record modmuls");
-    assert_eq!(count(8), serial, "worker-side modmuls were dropped");
+    let serial = profile(1);
+    assert!(serial.iter().all(|row| row.modmuls > 0), "{serial:?}");
+    assert_eq!(profile(8), serial, "profile depends on the thread count");
 }
 
 // -------------------------------------- parallel-vs-serial: SumCheck ----
@@ -274,10 +283,10 @@ fn end_to_end_proof_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn backends_produce_identical_encodings_and_modmul_counters() {
+fn backends_produce_identical_encodings_and_prover_reports() {
     // Same seed under Serial, ThreadPool(1) and ThreadPool(8): byte-identical
-    // proof encodings AND identical modmul counters (workers hand their
-    // deltas back to the submitting thread in deterministic order).
+    // proof encodings AND identical operation counts in the prover report
+    // (MSM work is split by configuration, never by backend width).
     let mu = 6;
     let seed = 0xD5EE_D031;
     let backends: Vec<Arc<dyn Backend>> = vec![
@@ -285,21 +294,25 @@ fn backends_produce_identical_encodings_and_modmul_counters() {
         Arc::new(ThreadPool::new(1)),
         Arc::new(ThreadPool::new(8)),
     ];
-    let mut results: Vec<(Vec<u8>, zkspeed_field::ModmulCount)> = Vec::new();
+    let mut results = Vec::new();
     for backend in backends {
         let name = backend.name();
         let (prover, verifier, witness) = session_for(mu, seed, backend);
-        let before = zkspeed_field::modmul_count();
-        let proof = prover.prove(&witness).expect("valid witness");
-        let spent = zkspeed_field::modmul_count().since(&before);
+        let (proof, report) = prover.prove_with_report(&witness).expect("valid witness");
         verifier.verify(&proof).expect("honest proof verifies");
-        assert!(spent.total() > 0, "{name}: proving must record modmuls");
-        results.push((proof.to_bytes(), spent));
+        let counts = (
+            report.witness_msm,
+            report.wiring_msm,
+            report.opening_msm,
+            report.transcript_hashes,
+        );
+        results.push((name, proof.to_bytes(), counts));
     }
-    let (reference_bytes, reference_count) = &results[0];
-    for (bytes, count) in &results[1..] {
-        assert_eq!(bytes, reference_bytes, "proof encodings drifted");
-        assert_eq!(count, reference_count, "modmul counters drifted");
+    let (_, reference_bytes, reference_counts) = &results[0];
+    assert!(reference_counts.1.fq_muls() > 0, "wiring MSMs count work");
+    for (name, bytes, counts) in &results[1..] {
+        assert_eq!(bytes, reference_bytes, "{name}: proof encodings drifted");
+        assert_eq!(counts, reference_counts, "{name}: prover report drifted");
     }
 }
 

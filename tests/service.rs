@@ -347,6 +347,12 @@ fn precompute_accounting_flows_through_the_metrics() {
         "tables were built at registration"
     );
     assert!(session.precompute_build_ms > 0.0);
+    // The budget alone switches the tables on: the prover consumed them, and
+    // the table engine does no doublings.
+    assert_eq!(
+        metrics.msm.wiring.doublings, 0,
+        "the prover must commit through the session tables"
+    );
 
     match roundtrip(&svc, &Request::Metrics) {
         Response::Metrics { json } => {
