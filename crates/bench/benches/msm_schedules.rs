@@ -1,14 +1,16 @@
-//! MSM engine schedule sweep: window bits × backend threads × schedule at
-//! n = 2^12 points (suite `msm`, history file
+//! MSM engine configuration sweep: window bits × backend threads ×
+//! configuration at n = 2^12 points (suite `msm`, history file
 //! `target/bench-history/msm.json`).
 //!
-//! The schedules compared:
+//! The configurations compared:
 //!
-//! * `classic`      — PR 2 baseline: unsigned windows, window-parallel,
-//!   mixed adds into projective buckets;
-//! * `signed`       — + signed-digit recoding (half the buckets);
-//! * `signed-intra` — + SZKP-style intra-window chunking;
-//! * `optimized`    — + batch-affine bucket accumulation (the default).
+//! * `classic`   — unsigned windows, mixed adds into projective buckets;
+//! * `signed`    — + signed-digit recoding (half the buckets);
+//! * `optimized` — + batch-affine bucket accumulation (the default).
+//!
+//! Every row runs the one engine schedule: at n = 2^12 each window's bucket
+//! fill splits into two point chunks (`auto_intra_window_chunks`), and
+//! buckets aggregate in groups of 16.
 //!
 //! Besides the wall-clock records, the per-schedule `MsmStats::fq_muls()`
 //! counts are printed so the modmul reduction is visible alongside the
@@ -24,8 +26,7 @@
 use std::sync::Arc;
 
 use zkspeed_curve::{
-    msm_precomputed_on, msm_with_config_on, G1Affine, G1Projective, MsmConfig, MsmSchedule,
-    MultiBaseTable,
+    msm_precomputed_on, msm_with_config_on, G1Affine, G1Projective, MsmConfig, MultiBaseTable,
 };
 use zkspeed_field::Fr;
 use zkspeed_rt::bench::{black_box, Harness};
@@ -44,12 +45,6 @@ fn schedules() -> Vec<(&'static str, MsmConfig)> {
     vec![
         ("classic", MsmConfig::classic()),
         ("signed", MsmConfig::classic().with_signed_digits(true)),
-        (
-            "signed-intra",
-            MsmConfig::classic()
-                .with_signed_digits(true)
-                .with_schedule(MsmSchedule::IntraWindow { chunks: 0 }),
-        ),
         ("optimized", MsmConfig::optimized()),
     ]
 }
@@ -115,8 +110,8 @@ fn main() {
                 table.size_in_bytes(),
                 started.elapsed().as_secs_f64() * 1e3
             );
-            // The table's own width wins; the config supplies aggregation
-            // and the batch-affine threshold.
+            // The table's own width wins; the config supplies the
+            // batch-affine threshold.
             let pre_config = MsmConfig::optimized();
             let (_, pre_stats) = msm_precomputed_on(&*build_backend, &table, &scalars, pre_config);
             let base_config = MsmConfig::optimized().with_window_bits(w);

@@ -10,10 +10,10 @@
 //! * [`G1Affine`] / [`G1Projective`] — the group, with complete full and
 //!   mixed addition formulas (the PADD datapath);
 //! * [`msm`] / [`msm_with_config_on`] — Pippenger's algorithm with configurable
-//!   window size, signed-digit recoding, SZKP-style intra-window chunking,
-//!   batch-affine bucket accumulation, and either the SZKP serial or the
-//!   zkSpeed grouped bucket aggregation schedule (Fig. 5 of the paper) —
-//!   see [`MsmConfig`] and [`MsmSchedule`];
+//!   window size, signed-digit recoding and batch-affine bucket
+//!   accumulation (see [`MsmConfig`]), on one schedule: size-derived point
+//!   chunks per window and zkSpeed's grouped bucket aggregation (Fig. 5 of
+//!   the paper);
 //! * [`sparse_msm`] — the Sparse MSM used by the Witness Commit step;
 //! * [`MsmStats`] — per-addition-kind operation counters consumed by the
 //!   hardware cost model.
@@ -49,9 +49,9 @@ pub use g1::{
     PADD_MIXED_FQ_MULS, PDBL_FQ_MULS,
 };
 pub use msm::{
-    aggregate_buckets, auto_intra_window_chunks, auto_window_bits, msm, msm_precomputed_on,
-    msm_with_config_on, msm_with_config_shared, naive_msm, sparse_msm, sparse_msm_precomputed_on,
-    sparse_msm_with_config_on, tree_sum, Aggregation, MsmConfig, MsmSchedule, MsmStats,
-    SparseMsmStats, BATCH_AFFINE_DEFAULT_MIN_POINTS,
+    auto_intra_window_chunks, auto_window_bits, msm, msm_precomputed_on, msm_with_config_on,
+    msm_with_config_shared, naive_msm, sparse_msm, sparse_msm_precomputed_on,
+    sparse_msm_with_config_on, tree_sum, MsmConfig, MsmStats, SparseMsmStats,
+    BATCH_AFFINE_DEFAULT_MIN_POINTS,
 };
 pub use multi_base::{MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};

@@ -6,33 +6,31 @@
 //! module provides:
 //!
 //! * [`naive_msm`] — the double-and-add reference used as a test oracle;
-//! * [`msm`] / [`msm_with_config_on`] — Pippenger's bucket algorithm with
-//!   three composable optimizations selected by [`MsmConfig`]:
+//! * [`msm`] / [`msm_with_config_on`] — Pippenger's bucket algorithm on one
+//!   fixed schedule, with two optimizations selected by [`MsmConfig`]:
 //!   - **signed-digit window recoding** (digits in `[−2^{w−1}, 2^{w−1}]`,
 //!     using the free affine negation `−(x, y) = (x, −y)`), halving the
 //!     bucket count and the aggregation adds per window;
-//!   - **SZKP-style intra-window parallelism** ([`MsmSchedule::IntraWindow`])
-//!     — the point array is split into chunks, each chunk fills a private
-//!     bucket set per window, and partial buckets are tree-combined before
-//!     aggregation, so parallel work scales with `windows × chunks` instead
-//!     of windows alone;
 //!   - **batch-affine bucket accumulation** — buckets accumulate through
 //!     affine additions whose inversions are amortized by
 //!     [`zkspeed_field::batch_invert`], cutting the per-add Fq
 //!     multiplications from 13 (mixed) to ~6;
-//! * a choice of bucket-aggregation schedule (the serial SZKP schedule or
-//!   zkSpeed's grouped schedule, Fig. 5);
+//! * the schedule itself: the point array is split into
+//!   [`auto_intra_window_chunks`] chunks (one below 4096 points), each
+//!   `(window, chunk)` pair fills a private bucket set, partial buckets are
+//!   tree-combined, and every window aggregates with zkSpeed's grouped
+//!   schedule (groups of 16, Fig. 5);
 //! * [`sparse_msm`] — the Sparse MSM used for Witness Commits, where scalars
 //!   that are 0 or 1 bypass Pippenger entirely (Section 3.3.1);
 //! * [`msm_precomputed_on`] / [`sparse_msm_precomputed_on`] — the same sums
 //!   over a precomputed [`MultiBaseTable`], with zero doublings;
 //! * operation counters ([`MsmStats`]) that feed the hardware cost model.
 //!
-//! Every schedule computes the same group element, and proof encodings
-//! normalize points to affine, so proofs are bit-identical across schedules
-//! and backends. Work splitting is derived from the *configuration* (never
-//! from the backend's thread count), so results and operation counters are
-//! also identical at any thread count.
+//! Every configuration computes the same group element, and proof encodings
+//! normalize points to affine, so proofs are bit-identical across
+//! configurations and backends. Work splitting is derived from the problem
+//! size (never from the backend's thread count), so results and operation
+//! counters are also identical at any thread count.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -43,71 +41,19 @@ use zkspeed_rt::pool::{self, Backend};
 use crate::g1::{G1Affine, G1Projective};
 use crate::multi_base::MultiBaseTable;
 
-/// How bucket sums are aggregated into the per-window total `Σ i·Bᵢ`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Aggregation {
-    /// The serial running-sum schedule used by SZKP: one long dependency
-    /// chain of `2·(2^w − 1)` point additions that cannot exploit a
-    /// pipelined adder.
-    Serial,
-    /// zkSpeed's grouped schedule (adapted from PriorMSM): buckets are split
-    /// into groups of `group_size`, partial sums are computed per group (in
-    /// parallel in hardware), and the group results are combined at the end.
-    Grouped {
-        /// Number of buckets per group (the paper selects 16).
-        group_size: usize,
-    },
-}
-
-impl Default for Aggregation {
-    fn default() -> Self {
-        Aggregation::Grouped { group_size: 16 }
-    }
-}
-
-/// How the bucket-fill work of one MSM is decomposed into units of parallel
-/// work.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum MsmSchedule {
-    /// One unit of work per window: each worker owns a whole window's bucket
-    /// set. Parallelism is capped at `⌈255/w⌉` windows — the schedule PR 2
-    /// shipped.
-    WindowParallel,
-    /// SZKP-style scaling: the point array is additionally split into
-    /// `chunks` contiguous slices. Each `(window, chunk)` pair fills a
-    /// private bucket set, and the per-chunk partial buckets are
-    /// tree-combined before aggregation, so parallelism scales with
-    /// `windows × chunks`.
-    ///
-    /// `chunks == 0` selects an automatic count from the problem size
-    /// (never from the backend's thread count, keeping results and
-    /// counters thread-count invariant).
-    IntraWindow {
-        /// Number of point chunks per window (0 = auto).
-        chunks: usize,
-    },
-}
-
-impl Default for MsmSchedule {
-    fn default() -> Self {
-        MsmSchedule::IntraWindow { chunks: 0 }
-    }
-}
+/// Buckets per group of zkSpeed's grouped bucket aggregation (the paper
+/// selects 16, Fig. 5).
+const AGGREGATION_GROUP_SIZE: usize = 16;
 
 /// Configuration for a Pippenger MSM run.
 ///
-/// [`MsmConfig::default`] is [`MsmConfig::optimized`] — signed digits,
-/// intra-window chunking and batch-affine accumulation all on.
-/// [`MsmConfig::classic`] reproduces the PR 2 schedule (unsigned windows,
-/// window-level parallelism only, mixed additions into projective buckets).
+/// [`MsmConfig::default`] is [`MsmConfig::optimized`] — signed digits and
+/// batch-affine accumulation on. [`MsmConfig::classic`] is the unsigned
+/// baseline (mixed additions into projective buckets).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MsmConfig {
     /// Window (bucket index) size in bits (0 = auto from the problem size).
     pub window_bits: usize,
-    /// Bucket aggregation schedule.
-    pub aggregation: Aggregation,
-    /// How bucket filling is decomposed into parallel work units.
-    pub schedule: MsmSchedule,
     /// Recode scalars into signed digits in `[−2^{w−1}, 2^{w−1}]`, halving
     /// the bucket count (negative digits add the negated point — free in
     /// affine coordinates).
@@ -123,27 +69,23 @@ pub struct MsmConfig {
 pub const BATCH_AFFINE_DEFAULT_MIN_POINTS: usize = 32;
 
 impl MsmConfig {
-    /// The PR 2 schedule: unsigned windows, window-level parallelism only,
-    /// mixed additions into projective buckets. Kept as the baseline the
-    /// bench suite compares against and as the apples-to-apples counterpart
-    /// of the hardware model's Pippenger unit.
+    /// The unsigned baseline: unsigned windows, mixed additions into
+    /// projective buckets. Kept as the baseline the bench suite compares
+    /// against and as the apples-to-apples counterpart of the hardware
+    /// model's Pippenger unit.
     pub fn classic() -> Self {
         Self {
             window_bits: 0,
-            aggregation: Aggregation::default(),
-            schedule: MsmSchedule::WindowParallel,
             signed_digits: false,
             batch_affine_min_points: usize::MAX,
         }
     }
 
-    /// All three optimizations on: signed digits, auto intra-window
-    /// chunking, batch-affine bucket accumulation.
+    /// Both optimizations on: signed digits and batch-affine bucket
+    /// accumulation.
     pub fn optimized() -> Self {
         Self {
             window_bits: 0,
-            aggregation: Aggregation::default(),
-            schedule: MsmSchedule::IntraWindow { chunks: 0 },
             signed_digits: true,
             batch_affine_min_points: BATCH_AFFINE_DEFAULT_MIN_POINTS,
         }
@@ -158,12 +100,6 @@ impl MsmConfig {
     /// Returns the config with signed-digit recoding switched on or off.
     pub fn with_signed_digits(mut self, signed: bool) -> Self {
         self.signed_digits = signed;
-        self
-    }
-
-    /// Returns the config with the given work-decomposition schedule.
-    pub fn with_schedule(mut self, schedule: MsmSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -206,7 +142,7 @@ pub struct MsmStats {
     /// Full projective additions performed during bucket aggregation.
     pub aggregation_adds: u64,
     /// Full projective additions tree-combining per-chunk partial buckets
-    /// (intra-window schedule only).
+    /// (MSMs of 4096 points or more, which split into several chunks).
     pub partial_combine_adds: u64,
     /// Full projective additions performed while combining windows /
     /// tree-summing.
@@ -324,15 +260,16 @@ pub fn msm(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 ///
 /// # Panics
 ///
-/// Panics if the slices have different lengths or if a grouped aggregation
-/// with `group_size == 0` is requested.
+/// Panics if the slices have different lengths.
 pub fn msm_with_config_on(
     backend: &dyn Backend,
     points: &[G1Affine],
     scalars: &[Fr],
     config: MsmConfig,
 ) -> (G1Projective, MsmStats) {
-    msm_impl(backend, PointSource::Borrowed(points), scalars, config)
+    let chunks = auto_intra_window_chunks(scalars.len());
+    let points = PointSource::Borrowed(points);
+    msm_impl(backend, points, scalars, config, chunks)
 }
 
 /// [`msm_with_config_on`] over a shared point vector: when the backend goes
@@ -341,15 +278,16 @@ pub fn msm_with_config_on(
 ///
 /// # Panics
 ///
-/// Panics if the lengths mismatch or if a grouped aggregation with
-/// `group_size == 0` is requested.
+/// Panics if the lengths mismatch.
 pub fn msm_with_config_shared(
     backend: &dyn Backend,
     points: &Arc<Vec<G1Affine>>,
     scalars: &[Fr],
     config: MsmConfig,
 ) -> (G1Projective, MsmStats) {
-    msm_impl(backend, PointSource::Shared(points), scalars, config)
+    let chunks = auto_intra_window_chunks(scalars.len());
+    let points = PointSource::Shared(points);
+    msm_impl(backend, points, scalars, config, chunks)
 }
 
 /// How an MSM receives its point vector: borrowed (copied into an `Arc` only
@@ -432,29 +370,19 @@ struct MsmInstance {
     chunk_ranges: Vec<Range<usize>>,
 }
 
-/// One `(window, chunk)` segment's private bucket set plus its counters.
+/// One fill job's private bucket set plus its counters: a `(window, chunk)`
+/// segment of the table-free engine or a bucket range of the table engine.
 struct FilledSegment {
     buckets: Vec<G1Projective>,
     nonempty: bool,
-    bucket_adds: u64,
-    affine_adds: u64,
-    batch_inversions: u64,
-}
-
-/// One window's final sum plus its counters.
-struct WindowSum {
-    sum: G1Projective,
-    bucket_adds: u64,
-    affine_adds: u64,
-    batch_inversions: u64,
-    partial_combine_adds: u64,
-    aggregation_adds: u64,
+    /// Fill counters: `bucket_adds`, `affine_adds` and `batch_inversions`.
+    ops: MsmStats,
 }
 
 impl MsmInstance {
     /// The (bucket index, sign-adjusted point) of term `i` in `window`, or
     /// `None` for zero digits and identity points.
-    fn bucket_entry(&self, i: usize, window: usize) -> Option<(usize, G1Affine)> {
+    fn bucket_entry(&self, i: usize, window: usize) -> Option<(u32, G1Affine)> {
         let point = self.points[i];
         if point.infinity {
             return None;
@@ -465,13 +393,13 @@ impl MsmInstance {
                 let d = signed_window_digit(limbs, &carries[i], window, self.w);
                 match d.cmp(&0) {
                     core::cmp::Ordering::Equal => None,
-                    core::cmp::Ordering::Greater => Some((d as usize - 1, point)),
-                    core::cmp::Ordering::Less => Some(((-d) as usize - 1, point.neg())),
+                    core::cmp::Ordering::Greater => Some((d as u32 - 1, point)),
+                    core::cmp::Ordering::Less => Some(((-d) as u32 - 1, point.neg())),
                 }
             }
             None => {
                 let idx = extract_window(limbs, window * self.w, self.w);
-                (idx != 0).then(|| (idx - 1, point))
+                (idx != 0).then(|| (idx as u32 - 1, point))
             }
         }
     }
@@ -480,87 +408,35 @@ impl MsmInstance {
     fn fill_segment(&self, window: usize, chunk: usize) -> FilledSegment {
         let range = self.chunk_ranges[chunk].clone();
         let batch_affine = range.len() >= self.config.batch_affine_min_points;
-        if batch_affine {
-            let mut entries: Vec<(u32, G1Affine)> = Vec::with_capacity(range.len());
-            for i in range {
-                if let Some((bucket, point)) = self.bucket_entry(i, window) {
-                    entries.push((bucket as u32, point));
-                }
-            }
-            let nonempty = !entries.is_empty();
-            let (buckets, affine_adds, batch_inversions) =
-                batch_affine_bucket_sums(self.num_buckets, entries);
-            FilledSegment {
-                buckets,
-                nonempty,
-                bucket_adds: 0,
-                affine_adds,
-                batch_inversions,
-            }
-        } else {
-            let mut buckets = vec![G1Projective::identity(); self.num_buckets];
-            let mut bucket_adds = 0u64;
-            let mut nonempty = false;
-            for i in range {
-                if let Some((bucket, point)) = self.bucket_entry(i, window) {
-                    nonempty = true;
-                    let slot = &mut buckets[bucket];
-                    if slot.is_identity() {
-                        // First touch costs nothing: the bucket simply
-                        // becomes the point.
-                        *slot = point.to_projective();
-                    } else {
-                        *slot = slot.add_mixed(&point);
-                        bucket_adds += 1;
-                    }
-                }
-            }
-            FilledSegment {
-                buckets,
-                nonempty,
-                bucket_adds,
-                affine_adds: 0,
-                batch_inversions: 0,
-            }
-        }
+        let mut entries = Vec::with_capacity(range.len());
+        entries.extend(range.filter_map(|i| self.bucket_entry(i, window)));
+        fill_buckets(self.num_buckets, entries, batch_affine)
     }
 
     /// Tree-combines one window's per-chunk partial buckets and aggregates
-    /// them into the window sum.
-    fn reduce_window(&self, segments: &[FilledSegment]) -> WindowSum {
-        let mut out = WindowSum {
-            sum: G1Projective::identity(),
-            bucket_adds: 0,
-            affine_adds: 0,
-            batch_inversions: 0,
-            partial_combine_adds: 0,
-            aggregation_adds: 0,
-        };
-        let mut nonempty = false;
+    /// them into the window sum, returning it with the window's counters.
+    fn reduce_window(&self, segments: &[FilledSegment]) -> (G1Projective, MsmStats) {
+        let mut ops = MsmStats::default();
         for seg in segments {
-            out.bucket_adds += seg.bucket_adds;
-            out.affine_adds += seg.affine_adds;
-            out.batch_inversions += seg.batch_inversions;
-            nonempty |= seg.nonempty;
+            ops.merge(&seg.ops);
         }
-        if !nonempty {
+        if !segments.iter().any(|seg| seg.nonempty) {
             // Every digit of this window was zero: skip the aggregation
             // chain entirely (the always-zero top window of the signed
             // recoding takes this path on typical inputs).
-            return out;
+            return (G1Projective::identity(), ops);
         }
         let (sum, agg_adds) = if segments.len() == 1 {
             // Single segment (the fused path): aggregate its buckets in
             // place, no combine and no copy.
-            aggregate_buckets(&segments[0].buckets, self.config.aggregation)
+            aggregate_buckets(&segments[0].buckets)
         } else {
             let (buckets, combine_adds) = tree_combine_buckets(segments);
-            out.partial_combine_adds = combine_adds;
-            aggregate_buckets(&buckets, self.config.aggregation)
+            ops.partial_combine_adds = combine_adds;
+            aggregate_buckets(&buckets)
         };
-        out.sum = sum;
-        out.aggregation_adds = agg_adds;
-        out
+        ops.aggregation_adds = agg_adds;
+        (sum, ops)
     }
 }
 
@@ -608,6 +484,45 @@ fn tree_combine_buckets(segments: &[FilledSegment]) -> (Vec<G1Projective>, u64) 
             .collect();
     }
     (layer.pop().expect("nonempty layer"), adds)
+}
+
+/// Accumulates `(bucket, affine point)` entries into a bucket set of
+/// `num_buckets`: through [`batch_affine_bucket_sums`] when `batch_affine`,
+/// otherwise with mixed additions into projective buckets. Both engines fill
+/// their buckets here; each decides `batch_affine` from its own segment size.
+fn fill_buckets(
+    num_buckets: usize,
+    entries: Vec<(u32, G1Affine)>,
+    batch_affine: bool,
+) -> FilledSegment {
+    let nonempty = !entries.is_empty();
+    let mut ops = MsmStats::default();
+    let buckets = if batch_affine {
+        let (buckets, affine_adds, batch_inversions) =
+            batch_affine_bucket_sums(num_buckets, entries);
+        ops.affine_adds = affine_adds;
+        ops.batch_inversions = batch_inversions;
+        buckets
+    } else {
+        let mut buckets = vec![G1Projective::identity(); num_buckets];
+        for (bucket, point) in entries {
+            let slot = &mut buckets[bucket as usize];
+            if slot.is_identity() {
+                // First touch costs nothing: the bucket simply becomes the
+                // point.
+                *slot = point.to_projective();
+            } else {
+                *slot = slot.add_mixed(&point);
+                ops.bucket_adds += 1;
+            }
+        }
+        buckets
+    };
+    FilledSegment {
+        buckets,
+        nonempty,
+        ops,
+    }
 }
 
 /// Reduces a multiset of `(bucket, affine point)` entries to one affine
@@ -747,11 +662,16 @@ fn batch_affine_bucket_sums(
 
 // ---------------------------------------------------------------- engine ----
 
+/// The table-free engine. `chunks` is the number of point chunks each
+/// window's bucket fill splits into: public callers pass
+/// [`auto_intra_window_chunks`], unit tests force the multi-chunk path at
+/// small `n`.
 fn msm_impl(
     backend: &dyn Backend,
     points: PointSource<'_>,
     scalars: &[Fr],
     config: MsmConfig,
+    chunks: usize,
 ) -> (G1Projective, MsmStats) {
     let point_slice = points.as_slice();
     assert_eq!(point_slice.len(), scalars.len(), "length mismatch");
@@ -783,11 +703,6 @@ fn msm_impl(
             .map(|limbs| recode_carries(limbs, w, num_windows))
             .collect()
     });
-    let chunks = match config.schedule {
-        MsmSchedule::WindowParallel => 1,
-        MsmSchedule::IntraWindow { chunks: 0 } => auto_intra_window_chunks(n),
-        MsmSchedule::IntraWindow { chunks } => chunks.min(n),
-    };
     let chunk_ranges = zkspeed_rt::par::split_ranges(n, chunks);
     let num_chunks = chunk_ranges.len();
 
@@ -811,7 +726,7 @@ fn msm_impl(
     const PAR_MIN_POINTS: usize = 256;
     let parallel = n >= PAR_MIN_POINTS && backend.threads() > 1 && num_windows * num_chunks > 1;
 
-    let window_sums: Vec<WindowSum> = if num_chunks == 1 {
+    let window_sums: Vec<(G1Projective, MsmStats)> = if num_chunks == 1 {
         // Fused path: one job per window fills and aggregates directly.
         let run = move |instance: &MsmInstance, window: usize| {
             let segment = instance.fill_segment(window, 0);
@@ -836,20 +751,11 @@ fn msm_impl(
         } else {
             (0..num_windows * num_chunks).map(fill).collect()
         };
-        let mut window_segments: Vec<Vec<FilledSegment>> = Vec::with_capacity(num_windows);
-        let mut current: Vec<FilledSegment> = Vec::with_capacity(num_chunks);
-        for segment in segments {
-            current.push(segment);
-            if current.len() == num_chunks {
-                window_segments.push(std::mem::replace(
-                    &mut current,
-                    Vec::with_capacity(num_chunks),
-                ));
-            }
-        }
-        let window_segments = Arc::new(window_segments);
-        let reduce_instance = Arc::clone(&instance);
-        let reduce = move |window: usize| reduce_instance.reduce_window(&window_segments[window]);
+        // Window `i` owns segments `i·chunks .. (i+1)·chunks`.
+        let segments = Arc::new(segments);
+        let reduce = move |window: usize| {
+            instance.reduce_window(&segments[window * num_chunks..(window + 1) * num_chunks])
+        };
         if parallel {
             pool::map_indices_on(backend, num_windows, reduce)
         } else {
@@ -861,23 +767,19 @@ fn msm_impl(
     // while the accumulator is still the identity, so the signed recoding's
     // empty top window costs nothing), one addition per non-empty window.
     let mut acc = G1Projective::identity();
-    for window_sum in window_sums.iter().rev() {
+    for (sum, window_ops) in window_sums.iter().rev() {
         if !acc.is_identity() {
             for _ in 0..w {
                 acc = acc.double();
                 stats.doublings += 1;
             }
         }
-        stats.bucket_adds += window_sum.bucket_adds;
-        stats.affine_adds += window_sum.affine_adds;
-        stats.batch_inversions += window_sum.batch_inversions;
-        stats.partial_combine_adds += window_sum.partial_combine_adds;
-        stats.aggregation_adds += window_sum.aggregation_adds;
-        if !window_sum.sum.is_identity() {
+        stats.merge(window_ops);
+        if !sum.is_identity() {
             if acc.is_identity() {
-                acc = window_sum.sum;
+                acc = *sum;
             } else {
-                acc += window_sum.sum;
+                acc += *sum;
                 stats.combine_adds += 1;
             }
         }
@@ -887,37 +789,17 @@ fn msm_impl(
 
 // ----------------------------------------------------------- aggregation ----
 
-/// Aggregates bucket sums into `Σ (i+1)·buckets[i]`, returning the total and
-/// the number of point additions used. Additions whose operand is the
-/// identity are skipped (and not counted).
-pub fn aggregate_buckets(buckets: &[G1Projective], schedule: Aggregation) -> (G1Projective, u64) {
-    match schedule {
-        Aggregation::Serial => aggregate_serial(buckets),
-        Aggregation::Grouped { group_size } => aggregate_grouped(buckets, group_size),
-    }
+/// Aggregates bucket sums into `Σ (i+1)·buckets[i]` with zkSpeed's grouped
+/// schedule, returning the total and the number of point additions used.
+/// Additions whose operand is the identity are skipped (and not counted).
+fn aggregate_buckets(buckets: &[G1Projective]) -> (G1Projective, u64) {
+    aggregate_grouped(buckets, AGGREGATION_GROUP_SIZE)
 }
 
-fn aggregate_serial(buckets: &[G1Projective]) -> (G1Projective, u64) {
-    // Classic running-sum trick, highest bucket first:
-    //   running += B_i; total += running
-    let mut running = G1Projective::identity();
-    let mut total = G1Projective::identity();
-    let mut adds = 0u64;
-    for b in buckets.iter().rev() {
-        if !b.is_identity() {
-            running += *b;
-            adds += 1;
-        }
-        if !running.is_identity() {
-            total += running;
-            adds += 1;
-        }
-    }
-    (total, adds)
-}
-
+/// The grouped schedule (adapted from PriorMSM): buckets are split into
+/// groups of `group_size`, partial sums are computed per group (in parallel
+/// in hardware), and the group results are combined at the end.
 fn aggregate_grouped(buckets: &[G1Projective], group_size: usize) -> (G1Projective, u64) {
-    assert!(group_size > 0, "group_size must be positive");
     if buckets.is_empty() {
         return (G1Projective::identity(), 0);
     }
@@ -1015,21 +897,39 @@ pub fn sparse_msm_with_config_on(
     config: MsmConfig,
 ) -> (G1Projective, SparseMsmStats) {
     assert_eq!(points.len(), scalars.len(), "length mismatch");
+    sparse_split(
+        scalars,
+        |i| points[i].to_projective(),
+        |dense_indices, dense_scalars| {
+            let dense_points = dense_indices.iter().map(|&i| points[i as usize]).collect();
+            msm_with_config_shared(backend, &Arc::new(dense_points), &dense_scalars, config)
+        },
+    )
+}
+
+/// The 0/1/dense split both Sparse MSM engines share: 0-scalars are
+/// skipped, the points of 1-scalars (`one_point(i)`) are tree-summed, and
+/// the dense remainder — its scalar indices and values — goes to `dense`.
+fn sparse_split(
+    scalars: &[Fr],
+    one_point: impl Fn(usize) -> G1Projective,
+    dense: impl FnOnce(Vec<u32>, Vec<Fr>) -> (G1Projective, MsmStats),
+) -> (G1Projective, SparseMsmStats) {
     let one = Fr::one();
     let zero = Fr::zero();
     let mut ones_points = Vec::new();
-    let mut dense_points = Vec::new();
+    let mut dense_indices = Vec::new();
     let mut dense_scalars = Vec::new();
     let mut stats = SparseMsmStats::default();
-    for (p, s) in points.iter().zip(scalars.iter()) {
+    for (i, s) in scalars.iter().enumerate() {
         if *s == zero {
             stats.zeros += 1;
         } else if *s == one {
             stats.ones += 1;
-            ones_points.push(p.to_projective());
+            ones_points.push(one_point(i));
         } else {
             stats.dense += 1;
-            dense_points.push(*p);
+            dense_indices.push(i as u32);
             dense_scalars.push(*s);
         }
     }
@@ -1038,12 +938,7 @@ pub fn sparse_msm_with_config_on(
     let (ones_sum, tree_adds) = tree_sum(&ones_points);
     stats.ops.combine_adds += tree_adds;
 
-    let (dense_sum, dense_stats) = msm_impl(
-        backend,
-        PointSource::Shared(&Arc::new(dense_points)),
-        &dense_scalars,
-        config,
-    );
+    let (dense_sum, dense_stats) = dense(dense_indices, dense_scalars);
     stats.ops.merge(&dense_stats);
     let total = ones_sum + dense_sum;
     stats.ops.combine_adds += 1;
@@ -1069,12 +964,12 @@ fn auto_precomputed_jobs(total_entries: usize, num_buckets: usize) -> usize {
 /// aggregation pass finishes the sum — **zero doublings** and no window
 /// combine, the whole point of precomputing the session's bases.
 ///
-/// `config` supplies the aggregation schedule and batch-affine threshold;
-/// `config.window_bits`, `config.signed_digits` and `config.schedule` are
-/// ignored (the table's width wins, recoding is always signed, and work is
-/// split over config-derived bucket ranges, each job filling a disjoint
-/// bucket slice, so results stay thread-count invariant). The result is the
-/// same group element any other schedule computes.
+/// `config` supplies only the batch-affine threshold; `config.window_bits`
+/// and `config.signed_digits` are ignored (the table's width wins and
+/// recoding is always signed). Work is split over size-derived bucket
+/// ranges, each job filling a disjoint bucket slice, so results stay
+/// thread-count invariant. The result is the same group element the
+/// table-free engine computes.
 ///
 /// # Panics
 ///
@@ -1112,38 +1007,14 @@ pub fn sparse_msm_precomputed_on(
         scalars.len() <= table.num_bases(),
         "more scalars than precomputed bases"
     );
-    let one = Fr::one();
-    let zero = Fr::zero();
-    let mut ones_points = Vec::new();
-    let mut dense_indices: Vec<u32> = Vec::new();
-    let mut dense_scalars = Vec::new();
-    let mut stats = SparseMsmStats::default();
-    for (i, s) in scalars.iter().enumerate() {
-        if *s == zero {
-            stats.zeros += 1;
-        } else if *s == one {
-            stats.ones += 1;
-            ones_points.push(table.base(i).to_projective());
-        } else {
-            stats.dense += 1;
-            dense_indices.push(i as u32);
-            dense_scalars.push(*s);
-        }
-    }
-    let (ones_sum, tree_adds) = tree_sum(&ones_points);
-    stats.ops.combine_adds += tree_adds;
-
-    let (dense_sum, dense_stats) = msm_precomputed_impl(
-        backend,
-        table,
-        Some(Arc::new(dense_indices)),
-        &dense_scalars,
-        config,
-    );
-    stats.ops.merge(&dense_stats);
-    let total = ones_sum + dense_sum;
-    stats.ops.combine_adds += 1;
-    (total, stats)
+    sparse_split(
+        scalars,
+        |i| table.base(i).to_projective(),
+        |dense_indices, dense_scalars| {
+            let indices = Some(Arc::new(dense_indices));
+            msm_precomputed_impl(backend, table, indices, &dense_scalars, config)
+        },
+    )
 }
 
 /// Immutable inputs of one precomputed MSM run, shared by every
@@ -1171,10 +1042,7 @@ impl PrecomputedInstance {
         let mut entries: Vec<(u32, G1Affine)> = Vec::new();
         for (i, limbs) in self.scalar_limbs.iter().enumerate() {
             let carries = &self.carries[i];
-            let base = match &self.indices {
-                Some(idx) => idx[i] as usize,
-                None => i,
-            };
+            let base = self.indices.as_ref().map_or(i, |idx| idx[i] as usize);
             for window in 0..num_windows {
                 let d = signed_window_digit(limbs, carries, window, w);
                 if d == 0 {
@@ -1192,37 +1060,8 @@ impl PrecomputedInstance {
                 entries.push(((bucket - range.start) as u32, point));
             }
         }
-        let nonempty = !entries.is_empty();
-        if entries.len() >= self.config.batch_affine_min_points {
-            let (buckets, affine_adds, batch_inversions) =
-                batch_affine_bucket_sums(range.len(), entries);
-            FilledSegment {
-                buckets,
-                nonempty,
-                bucket_adds: 0,
-                affine_adds,
-                batch_inversions,
-            }
-        } else {
-            let mut buckets = vec![G1Projective::identity(); range.len()];
-            let mut bucket_adds = 0u64;
-            for (bucket, point) in entries {
-                let slot = &mut buckets[bucket as usize];
-                if slot.is_identity() {
-                    *slot = point.to_projective();
-                } else {
-                    *slot = slot.add_mixed(&point);
-                    bucket_adds += 1;
-                }
-            }
-            FilledSegment {
-                buckets,
-                nonempty,
-                bucket_adds,
-                affine_adds: 0,
-                batch_inversions: 0,
-            }
-        }
+        let batch_affine = entries.len() >= self.config.batch_affine_min_points;
+        fill_buckets(range.len(), entries, batch_affine)
     }
 }
 
@@ -1281,16 +1120,14 @@ fn msm_precomputed_impl(
     let mut buckets = Vec::with_capacity(num_buckets);
     let mut any = false;
     for segment in segments {
-        stats.bucket_adds += segment.bucket_adds;
-        stats.affine_adds += segment.affine_adds;
-        stats.batch_inversions += segment.batch_inversions;
+        stats.merge(&segment.ops);
         any |= segment.nonempty;
         buckets.extend(segment.buckets);
     }
     if !any {
         return (G1Projective::identity(), stats);
     }
-    let (sum, agg_adds) = aggregate_buckets(&buckets, config.aggregation);
+    let (sum, agg_adds) = aggregate_buckets(&buckets);
     stats.aggregation_adds = agg_adds;
     (sum, stats)
 }
@@ -1349,34 +1186,65 @@ mod tests {
         G1Projective::batch_to_affine(&proj)
     }
 
-    /// Every meaningfully distinct engine configuration (schedule ×
-    /// signedness × accumulation path), used by the equivalence tests.
-    fn all_configs() -> Vec<(&'static str, MsmConfig)> {
+    /// Every meaningfully distinct engine path (signedness × accumulation ×
+    /// chunk count), used by the equivalence tests. The chunk count forces
+    /// the two-phase multi-chunk path, which public callers reach only from
+    /// 4096 points on.
+    fn all_configs() -> Vec<(&'static str, MsmConfig, usize)> {
         vec![
-            ("classic", MsmConfig::classic()),
-            ("signed", MsmConfig::classic().with_signed_digits(true)),
-            (
-                "intra-window",
-                MsmConfig::classic().with_schedule(MsmSchedule::IntraWindow { chunks: 3 }),
-            ),
+            ("classic", MsmConfig::classic(), 1),
+            ("signed", MsmConfig::classic().with_signed_digits(true), 1),
+            ("chunked", MsmConfig::classic(), 3),
             (
                 "batch-affine",
                 MsmConfig::classic().with_batch_affine_min_points(0),
+                1,
             ),
-            ("optimized", MsmConfig::optimized()),
+            ("optimized", MsmConfig::optimized(), 1),
             (
                 "optimized-forced",
-                MsmConfig::optimized()
-                    .with_schedule(MsmSchedule::IntraWindow { chunks: 4 })
-                    .with_batch_affine_min_points(0),
+                MsmConfig::optimized().with_batch_affine_min_points(0),
+                4,
             ),
         ]
     }
 
+    /// The table-free engine with an explicit chunk count.
+    fn msm_chunked(
+        backend: &dyn Backend,
+        points: &[G1Affine],
+        scalars: &[Fr],
+        config: MsmConfig,
+        chunks: usize,
+    ) -> (G1Projective, MsmStats) {
+        let points = PointSource::Borrowed(points);
+        msm_impl(backend, points, scalars, config, chunks)
+    }
+
+    /// The serial running sum SZKP aggregates with, highest bucket first
+    /// (`running += B_i; total += running`): the oracle for the grouped
+    /// schedule.
+    fn aggregate_serial(buckets: &[G1Projective]) -> (G1Projective, u64) {
+        let mut running = G1Projective::identity();
+        let mut total = G1Projective::identity();
+        let mut adds = 0u64;
+        for b in buckets.iter().rev() {
+            if !b.is_identity() {
+                running += *b;
+                adds += 1;
+            }
+            if !running.is_identity() {
+                total += running;
+                adds += 1;
+            }
+        }
+        (total, adds)
+    }
+
     #[test]
     fn empty_msm_is_identity() {
-        for (name, config) in all_configs() {
-            let (r, stats) = msm_with_config_on(&Serial, &[], &[], config);
+        for (name, config, chunks) in all_configs() {
+            let (r, stats) = msm_chunked(&Serial, &[], &[], config, chunks);
             assert_eq!(r, G1Projective::identity(), "{name}");
             assert_eq!(stats, MsmStats::default(), "{name}");
         }
@@ -1394,8 +1262,8 @@ mod tests {
             let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
             let expect = naive_msm(&points, &scalars);
             assert_eq!(msm(&points, &scalars), expect, "n = {n}");
-            for (name, config) in all_configs() {
-                let (res, _) = msm_with_config_on(&Serial, &points, &scalars, config);
+            for (name, config, chunks) in all_configs() {
+                let (res, _) = msm_chunked(&Serial, &points, &scalars, config, chunks);
                 assert_eq!(res, expect, "n = {n}, config = {name}");
             }
         }
@@ -1409,20 +1277,12 @@ mod tests {
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
         let expect = naive_msm(&points, &scalars);
         for w in [2usize, 4, 7, 8, 9, 10, 13] {
-            for agg in [
-                Aggregation::Serial,
-                Aggregation::Grouped { group_size: 16 },
-                Aggregation::Grouped { group_size: 3 },
-                Aggregation::Grouped { group_size: 1 },
-            ] {
-                for (name, base) in all_configs() {
-                    let mut cfg = base.with_window_bits(w);
-                    cfg.aggregation = agg;
-                    let (res, stats) = msm_with_config_on(&Serial, &points, &scalars, cfg);
-                    assert_eq!(res, expect, "w = {w}, agg = {agg:?}, config = {name}");
-                    assert!(stats.total_adds() > 0);
-                    assert!(stats.fq_muls() > 0);
-                }
+            for (name, base, chunks) in all_configs() {
+                let cfg = base.with_window_bits(w);
+                let (res, stats) = msm_chunked(&Serial, &points, &scalars, cfg, chunks);
+                assert_eq!(res, expect, "w = {w}, config = {name}");
+                assert!(stats.total_adds() > 0);
+                assert!(stats.fq_muls() > 0);
             }
         }
     }
@@ -1466,8 +1326,8 @@ mod tests {
         let point = random_points(1, &mut r);
         for scalar in [Fr::zero(), Fr::one(), -Fr::one(), Fr::random(&mut r)] {
             let expect = naive_msm(&point, &[scalar]);
-            for (name, config) in all_configs() {
-                let (res, _) = msm_with_config_on(&Serial, &point, &[scalar], config);
+            for (name, config, chunks) in all_configs() {
+                let (res, _) = msm_chunked(&Serial, &point, &[scalar], config, chunks);
                 assert_eq!(res, expect, "scalar = {scalar}, config = {name}");
             }
         }
@@ -1479,8 +1339,8 @@ mod tests {
         let points = random_points(5, &mut r);
         // All zeros: no window is ever touched, no ops are counted.
         let zeros = vec![Fr::zero(); 5];
-        for (name, config) in all_configs() {
-            let (res, stats) = msm_with_config_on(&Serial, &points, &zeros, config);
+        for (name, config, chunks) in all_configs() {
+            let (res, stats) = msm_chunked(&Serial, &points, &zeros, config, chunks);
             assert_eq!(res, G1Projective::identity(), "{name}");
             assert_eq!(stats.total_adds(), 0, "{name}");
             assert_eq!(stats.doublings, 0, "{name}");
@@ -1502,8 +1362,8 @@ mod tests {
         points[4] = G1Affine::identity();
         let scalars: Vec<Fr> = (0..6).map(|_| Fr::random(&mut r)).collect();
         let expect = naive_msm(&points, &scalars);
-        for (name, config) in all_configs() {
-            let (res, _) = msm_with_config_on(&Serial, &points, &scalars, config);
+        for (name, config, chunks) in all_configs() {
+            let (res, _) = msm_chunked(&Serial, &points, &scalars, config, chunks);
             assert_eq!(res, expect, "config = {name}");
         }
     }
@@ -1549,9 +1409,9 @@ mod tests {
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
         let expect = naive_msm(&points, &scalars);
         let pool = ThreadPool::new(8);
-        for (name, config) in all_configs() {
-            let serial = msm_with_config_on(&Serial, &points, &scalars, config);
-            let pooled = msm_with_config_on(&pool, &points, &scalars, config);
+        for (name, config, chunks) in all_configs() {
+            let serial = msm_chunked(&Serial, &points, &scalars, config, chunks);
+            let pooled = msm_chunked(&pool, &points, &scalars, config, chunks);
             assert_eq!(serial.0, expect, "{name}: serial result");
             assert_eq!(pooled.0, serial.0, "{name}: pooled result drifted");
             assert_eq!(pooled.1, serial.1, "{name}: pooled stats drifted");
@@ -1622,20 +1482,20 @@ mod tests {
     fn aggregation_schedules_agree() {
         let mut r = rng();
         let buckets: Vec<G1Projective> = (0..31).map(|_| G1Projective::random(&mut r)).collect();
-        let (serial, serial_adds) = aggregate_buckets(&buckets, Aggregation::Serial);
-        for gs in [1usize, 2, 4, 8, 16, 31, 64] {
-            let (grouped, _) = aggregate_buckets(&buckets, Aggregation::Grouped { group_size: gs });
+        let (serial, serial_adds) = aggregate_serial(&buckets);
+        for gs in [1usize, 2, 3, 4, 8, 16, 31, 64] {
+            let (grouped, _) = aggregate_grouped(&buckets, gs);
             assert_eq!(grouped, serial, "group_size = {gs}");
         }
+        assert_eq!(aggregate_buckets(&buckets).0, serial);
         assert_eq!(serial_adds, 2 * 31);
         // Identity buckets are skipped and not counted.
         let mut sparse = buckets.clone();
         sparse[3] = G1Projective::identity();
         sparse[17] = G1Projective::identity();
-        let (sparse_serial, sparse_adds) = aggregate_buckets(&sparse, Aggregation::Serial);
+        let (sparse_serial, sparse_adds) = aggregate_serial(&sparse);
         assert_eq!(sparse_adds, 2 * 31 - 2);
-        let (sparse_grouped, _) =
-            aggregate_buckets(&sparse, Aggregation::Grouped { group_size: 4 });
+        let (sparse_grouped, _) = aggregate_grouped(&sparse, 4);
         assert_eq!(sparse_grouped, sparse_serial);
     }
 
@@ -1647,10 +1507,9 @@ mod tests {
             .map(|i| g.mul_scalar(&Fr::from_u64(i)))
             .collect();
         let expect = g.mul_scalar(&Fr::from_u64((1..=10u64).map(|i| i * i).sum()));
-        let (serial, _) = aggregate_buckets(&buckets, Aggregation::Serial);
-        let (grouped, _) = aggregate_buckets(&buckets, Aggregation::Grouped { group_size: 4 });
-        assert_eq!(serial, expect);
-        assert_eq!(grouped, expect);
+        assert_eq!(aggregate_serial(&buckets).0, expect);
+        assert_eq!(aggregate_grouped(&buckets, 4).0, expect);
+        assert_eq!(aggregate_buckets(&buckets).0, expect);
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub enum AggregationSchedule {
     },
 }
 
-/// The bucket-accumulation datapath, mirroring the schedules the
-/// functional MSM engine measures (`zkspeed_curve::MsmSchedule` and its
-/// `MsmStats` pricing).
+/// The bucket-accumulation datapath, mirroring the configurations the
+/// functional MSM engine measures (`zkspeed_curve::MsmConfig`, the
+/// precomputed-table engine, and their `MsmStats` pricing).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MsmDatapath {
     /// Classic unsigned Pippenger with full projective bucket additions —

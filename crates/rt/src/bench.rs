@@ -131,8 +131,8 @@ impl Harness {
     /// samples, printing a one-line summary immediately.
     ///
     /// Each sample amortizes the closure over enough iterations to fill
-    /// roughly [`TARGET_SAMPLE_NS`], so nanosecond-scale closures measure
-    /// the closure rather than `Instant` overhead.
+    /// roughly 50 µs (`TARGET_SAMPLE_NS`), so nanosecond-scale closures
+    /// measure the closure rather than `Instant` overhead.
     pub fn bench<R>(&mut self, name: impl Into<String>, mut f: impl FnMut() -> R) {
         /// Minimum wall-clock time one sample should cover.
         const TARGET_SAMPLE_NS: u128 = 50_000;

@@ -1,12 +1,11 @@
-//! Chunked parallelism with deterministic combining, running on the shared
-//! [`crate::pool`] worker pool.
+//! The ambient thread count and contiguous index splitting behind the
+//! shared [`crate::pool`] worker pool.
 //!
-//! The primitives here split an index space into contiguous chunks, fan the
-//! chunks out over the reusable pool (no per-call thread spawning), and
-//! return the per-chunk results **in chunk order**. Callers combine chunk
-//! results left to right, so a parallel run is bit-identical to the serial
-//! run for any associative combine (exact modular field addition,
-//! elliptic-curve point accumulation, statistics counters, …).
+//! [`split_ranges`] cuts an index space into contiguous, near-equal chunks;
+//! callers fan the chunks out over a [`crate::pool::Backend`] and combine
+//! the per-chunk results left to right, so a parallel run is bit-identical
+//! to the serial run for any associative combine (exact modular field
+//! addition, elliptic-curve point accumulation, statistics counters, …).
 //!
 //! Thread count resolution, in priority order:
 //!
@@ -16,10 +15,10 @@
 //!    path);
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Session-oriented callers should prefer an explicit
-//! [`crate::pool::Backend`] and the [`crate::pool::map_ranges`] /
-//! [`crate::pool::map_indices_on`] helpers; the functions here are the
-//! ambient-configuration view of the same machinery.
+//! Parallel work goes through an explicit [`crate::pool::Backend`] and the
+//! [`crate::pool::map_ranges`] / [`crate::pool::map_indices_on`] helpers;
+//! [`crate::pool::Ambient`] is the backend that follows the thread count
+//! resolved here.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -95,42 +94,6 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Applies `f` to contiguous chunks of `0..len` and returns the chunk
-/// results in chunk order.
-///
-/// The index space is split into at most [`current_threads`] chunks, but
-/// never into chunks smaller than `min_chunk` (so tiny inputs stay serial).
-/// With one chunk the closure runs on the calling thread — the exact serial
-/// path. Multi-chunk runs execute on the shared [`crate::pool`] worker pool;
-/// workers inherit the caller's effective thread count, so a
-/// [`with_threads`] override keeps governing nested parallel calls made from
-/// inside the chunks.
-pub fn map_chunks<U, F>(len: usize, min_chunk: usize, f: F) -> Vec<U>
-where
-    U: Send + 'static,
-    F: Fn(Range<usize>) -> U + Send + Sync + 'static,
-{
-    let inherited = current_threads();
-    crate::pool::map_ranges(&crate::pool::Ambient, len, min_chunk, move |range| {
-        with_threads(inherited, || f(range))
-    })
-}
-
-/// Applies `f` to every index in `0..len` and returns the results in index
-/// order, fanning the indices out over [`current_threads`] workers.
-pub fn map_indices<U, F>(len: usize, f: F) -> Vec<U>
-where
-    U: Send + 'static,
-    F: Fn(usize) -> U + Send + Sync + 'static,
-{
-    let f = std::sync::Arc::new(f);
-    let mut chunks = map_chunks(len, 1, move |range| range.map(|i| f(i)).collect::<Vec<U>>());
-    if chunks.len() == 1 {
-        return chunks.pop().unwrap();
-    }
-    chunks.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,40 +119,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn map_chunks_is_thread_count_invariant() {
-        let serial = with_threads(1, || map_chunks(1000, 1, |r| r.sum::<usize>()));
-        assert_eq!(serial.len(), 1);
-        let parallel = with_threads(8, || map_chunks(1000, 1, |r| r.sum::<usize>()));
-        assert!(parallel.len() > 1);
-        assert_eq!(serial.iter().sum::<usize>(), parallel.iter().sum::<usize>());
-    }
-
-    #[test]
-    fn map_indices_preserves_order() {
-        for threads in [1usize, 2, 8] {
-            let out = with_threads(threads, || map_indices(100, |i| i * i));
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn min_chunk_forces_serial_for_small_inputs() {
-        with_threads(8, || {
-            let chunks = map_chunks(100, 1000, |r| r.len());
-            assert_eq!(chunks, vec![100]);
-        });
-    }
-
-    #[test]
-    fn override_propagates_into_workers() {
-        with_threads(2, || {
-            let seen = map_chunks(100, 1, |_range| current_threads());
-            assert_eq!(seen.len(), 2);
-            assert!(seen.iter().all(|&n| n == 2), "workers saw {seen:?}");
-        });
     }
 
     #[test]

@@ -87,8 +87,6 @@ pub struct ServiceConfig {
     /// Pops a starving class waits before it is force-served (see
     /// [`JobQueue`]).
     pub starvation_limit: u64,
-    /// MSM engine configuration used by every session's prover.
-    pub msm_config: MsmConfig,
     /// Opt-in budget for per-session precomputed commit tables, built once
     /// at registration on the session's shard backend and consumed by every
     /// commit and opening of the session's proofs. Disabled by default.
@@ -139,7 +137,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             wave_size: 4,
             starvation_limit: 4,
-            msm_config: MsmConfig::default(),
             precompute: PrecomputeBudget::default(),
             default_deadline: Duration::from_secs(120),
             restart_budget: 3,
@@ -181,12 +178,6 @@ impl ServiceConfig {
     /// Overrides the anti-starvation limit.
     pub fn with_starvation_limit(mut self, limit: u64) -> Self {
         self.starvation_limit = limit;
-        self
-    }
-
-    /// Overrides the MSM engine configuration.
-    pub fn with_msm_config(mut self, msm_config: MsmConfig) -> Self {
-        self.msm_config = msm_config;
         self
     }
 
@@ -842,48 +833,6 @@ impl ProvingService {
             // Bounded wait: a missed wakeup (or a worker death) delays the
             // deadline/terminal-phase re-check by at most one poll interval.
             let timeout = (deadline_at - now).min(WAIT_POLL);
-            jobs = wait_timeout(&self.shared.job_done, jobs, timeout);
-        }
-    }
-
-    /// Blocks until **any** of the given jobs reaches a terminal outcome,
-    /// consumes that record and returns `(id, outcome)`; the other jobs
-    /// keep running and stay collectable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::UnknownJob`] when none of the ids is known
-    /// (or the slice is empty), or [`ServiceError::Deadline`] once every
-    /// known job's deadline has passed.
-    #[allow(clippy::type_complexity)]
-    pub fn wait_any(
-        &self,
-        ids: &[u64],
-    ) -> Result<(u64, Result<Arc<Vec<u8>>, ServiceError>), ServiceError> {
-        let mut jobs = lock(&self.shared.jobs);
-        loop {
-            let mut latest: Option<Instant> = None;
-            for &id in ids {
-                let Some(entry) = jobs.get(&id) else { continue };
-                if matches!(entry.phase, JobPhase::Done(_) | JobPhase::Failed(_)) {
-                    let entry = jobs.remove(&id).expect("entry present");
-                    let outcome = match entry.phase {
-                        JobPhase::Done(proof) => Ok(proof),
-                        JobPhase::Failed(msg) => Err(ServiceError::JobFailed(msg)),
-                        _ => unreachable!("terminal phase matched above"),
-                    };
-                    return Ok((id, outcome));
-                }
-                latest = Some(latest.map_or(entry.deadline_at, |l| l.max(entry.deadline_at)));
-            }
-            let Some(latest) = latest else {
-                return Err(ServiceError::UnknownJob);
-            };
-            let now = Instant::now();
-            if latest <= now {
-                return Err(ServiceError::Deadline);
-            }
-            let timeout = (latest - now).min(WAIT_POLL);
             jobs = wait_timeout(&self.shared.job_done, jobs, timeout);
         }
     }
@@ -1553,7 +1502,7 @@ fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, wave: Vec<Q
         &pk,
         &witnesses,
         &shard.backend,
-        shared.config.msm_config,
+        MsmConfig::default(),
         &shared.config.trace,
         &job_ids,
     )

@@ -36,7 +36,8 @@
 //!   threaded frame server with connection caps and graceful drain, the
 //!   blocking [`NetClient`](net::NetClient), and the `zkspeed` operator
 //!   CLI binary;
-//! * [`bench`] — helpers shared by the figure/table reproduction binaries.
+//! * [`bench`](mod@bench) — helpers shared by the figure/table reproduction
+//!   binaries.
 //!
 //! # Quickstart
 //!
@@ -133,7 +134,7 @@ pub use zkspeed_transcript as transcript;
 /// One-line import for the session API and the types most programs touch.
 pub mod prelude {
     pub use crate::{measured_workload, Error, ProofSystem, ProverHandle, VerifierHandle};
-    pub use zkspeed_curve::{MsmConfig, MsmSchedule};
+    pub use zkspeed_curve::MsmConfig;
     pub use zkspeed_hyperplonk::workloads::{
         HashChainSpec, MerkleSpec, StateTransitionSpec, WorkloadSpec,
     };

@@ -43,13 +43,11 @@ use zkspeed_svc::{ProvingService, ServiceConfig};
 use crate::error::Error;
 
 /// The session entry point: owns the universal SRS plus the execution
-/// backend and MSM engine configuration every derived handle will prove
-/// with.
+/// backend every derived handle will prove with.
 #[derive(Clone, Debug)]
 pub struct ProofSystem {
     srs: Arc<Srs>,
     backend: Arc<dyn Backend>,
-    msm_config: MsmConfig,
     precompute: PrecomputeBudget,
 }
 
@@ -61,7 +59,6 @@ impl ProofSystem {
         Self {
             srs: Arc::new(srs),
             backend: pool::ambient(),
-            msm_config: MsmConfig::default(),
             precompute: PrecomputeBudget::default(),
         }
     }
@@ -72,7 +69,6 @@ impl ProofSystem {
         Self {
             srs: Arc::new(srs),
             backend,
-            msm_config: MsmConfig::default(),
             precompute: PrecomputeBudget::default(),
         }
     }
@@ -80,16 +76,6 @@ impl ProofSystem {
     /// Replaces the execution backend, keeping the SRS.
     pub fn with_backend(mut self, backend: Arc<dyn Backend>) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Replaces the MSM engine configuration (window size, signed digits,
-    /// work-decomposition schedule, batch-affine threshold) used by every
-    /// commitment and opening of handles derived from this session. Any
-    /// configuration produces bit-identical proof encodings; only the
-    /// operation schedule differs.
-    pub fn with_msm_config(mut self, msm_config: MsmConfig) -> Self {
-        self.msm_config = msm_config;
         self
     }
 
@@ -110,11 +96,6 @@ impl ProofSystem {
         self.precompute
     }
 
-    /// The MSM engine configuration derived handles will prove with.
-    pub fn msm_config(&self) -> MsmConfig {
-        self.msm_config
-    }
-
     /// The universal SRS this session proves against.
     pub fn srs(&self) -> &Srs {
         &self.srs
@@ -125,18 +106,15 @@ impl ProofSystem {
         &self.backend
     }
 
-    /// Starts a long-running [`ProvingService`] over this session's SRS and
-    /// MSM configuration: circuits register as sessions keyed by digest,
-    /// jobs queue with priorities and backpressure, and shard workers pack
-    /// them into `prove_batch` waves (see [`zkspeed_svc`]). The service
-    /// builds its own per-shard backend pools as configured.
+    /// Starts a long-running [`ProvingService`] over this session's SRS:
+    /// circuits register as sessions keyed by digest, jobs queue with
+    /// priorities and backpressure, and shard workers pack them into
+    /// `prove_batch` waves (see [`zkspeed_svc`]). `config` passes through
+    /// unchanged: the service builds its own per-shard backend pools and
+    /// its sessions' precomputed tables (`ServiceConfig::precompute`) as it
+    /// says, independent of this session's backend and budget.
     pub fn serve(&self, config: ServiceConfig) -> ProvingService {
-        ProvingService::start(
-            Arc::clone(&self.srs),
-            config
-                .with_msm_config(self.msm_config)
-                .with_precompute(self.precompute),
-        )
+        ProvingService::start(Arc::clone(&self.srs), config)
     }
 
     /// Preprocesses (indexes) a circuit: commits to its selector and wiring
@@ -154,22 +132,19 @@ impl ProofSystem {
             ProverHandle {
                 pk: Arc::new(pk),
                 backend: Arc::clone(&self.backend),
-                msm_config: self.msm_config,
             },
             VerifierHandle { vk: Arc::new(vk) },
         ))
     }
 }
 
-/// A long-lived prover for one circuit: owns the proving key, the execution
-/// backend and the MSM engine configuration, so each
-/// [`ProverHandle::prove`] call is pure compute with no per-call setup.
-/// Cloning the handle shares the key and backend.
+/// A long-lived prover for one circuit: owns the proving key and the
+/// execution backend, so each [`ProverHandle::prove`] call is pure compute
+/// with no per-call setup. Cloning the handle shares the key and backend.
 #[derive(Clone, Debug)]
 pub struct ProverHandle {
     pk: Arc<ProvingKey>,
     backend: Arc<dyn Backend>,
-    msm_config: MsmConfig,
 }
 
 impl ProverHandle {
@@ -211,7 +186,7 @@ impl ProverHandle {
             &self.pk,
             witnesses,
             &self.backend,
-            self.msm_config,
+            MsmConfig::default(),
             &TraceSink::disabled(),
             &[],
         )?;
@@ -227,15 +202,16 @@ impl ProverHandle {
             &self.pk,
             witness,
             &self.backend,
-            self.msm_config,
+            MsmConfig::default(),
             &disabled,
             0,
         )
     }
 
-    /// The MSM engine configuration this handle proves with.
+    /// The MSM engine configuration this handle proves with: always
+    /// [`MsmConfig::default`].
     pub fn msm_config(&self) -> MsmConfig {
-        self.msm_config
+        MsmConfig::default()
     }
 
     /// The proving key (circuit tables plus SRS).
@@ -344,7 +320,6 @@ mod tests {
         let fast = ProofSystem::setup_with_backend(srs, Arc::new(ThreadPool::new(4)))
             .with_precompute(PrecomputeBudget::unlimited());
         assert!(fast.precompute().is_enabled());
-        assert_eq!(fast.msm_config(), MsmConfig::default());
         let (prover, verifier) = fast.preprocess(circuit).expect("fits");
         let tables = prover
             .proving_key()

@@ -19,10 +19,11 @@ use zkspeed_curve::{
     MsmConfig, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
 };
 use zkspeed_field::Fr;
-use zkspeed_hyperplonk::{mock_circuit, profile_kernels};
+use zkspeed_hyperplonk::{mock_circuit, profile_kernels, prove_unchecked_traced_on};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::par::with_threads;
 use zkspeed_rt::pool::Ambient;
+use zkspeed_rt::trace::TraceSink;
 use zkspeed_rt::Rng;
 use zkspeed_sumcheck::round_polynomial;
 
@@ -133,16 +134,12 @@ fn sparse_msm_parallel_matches_serial() {
     assert_eq!(parallel.1, serial.1);
 }
 
-/// Every meaningfully distinct MSM engine configuration: the PR 2 baseline,
-/// each optimization alone, and all of them together.
+/// Every meaningfully distinct MSM engine configuration: the unsigned
+/// baseline, each optimization alone, and both together.
 fn msm_schedule_matrix() -> Vec<(&'static str, MsmConfig)> {
     vec![
         ("classic", MsmConfig::classic()),
         ("signed", MsmConfig::classic().with_signed_digits(true)),
-        (
-            "intra-window",
-            MsmConfig::classic().with_schedule(MsmSchedule::IntraWindow { chunks: 4 }),
-        ),
         (
             "batch-affine",
             MsmConfig::classic().with_batch_affine_min_points(0),
@@ -331,11 +328,18 @@ fn proofs_are_bit_identical_across_msm_schedules_and_backends() {
             let backend_name = backend.name();
             let mut rng = StdRng::seed_from_u64(seed);
             let srs = Srs::try_setup(mu, &mut rng).expect("setup fits");
-            let system = ProofSystem::setup_with_backend(srs, backend).with_msm_config(config);
-            assert_eq!(system.msm_config(), config);
+            let system = ProofSystem::setup_with_backend(srs, backend);
             let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
             let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
-            let proof = prover.prove(&witness).expect("valid witness");
+            let disabled = TraceSink::disabled();
+            let (proof, _) = prove_unchecked_traced_on(
+                prover.proving_key(),
+                &witness,
+                prover.backend(),
+                config,
+                &disabled,
+                0,
+            );
             verifier.verify(&proof).expect("proof verifies");
             let bytes = proof.to_bytes();
             match &reference {

@@ -473,8 +473,8 @@ fn failing_witness_fails_its_job_but_not_its_wavemates() {
 
 #[test]
 fn proof_system_serve_integration() {
-    // The umbrella session API spawns the service with its SRS and MSM
-    // config; proofs served over the queue match the session handles'.
+    // The umbrella session API spawns the service over its SRS; proofs
+    // served over the queue match the session handles'.
     // Srs clones share the Arc'd point tables, so this is cheap.
     let system =
         ProofSystem::setup_with_backend((*shared_srs()).clone(), Arc::new(ThreadPool::new(2)));
@@ -496,6 +496,28 @@ fn proof_system_serve_integration() {
     verifier
         .verify(&Proof::from_bytes(&served).expect("decodes"))
         .expect("verifies");
+}
+
+#[test]
+fn proof_system_serve_keeps_the_service_precompute_budget() {
+    // `ServiceConfig::precompute` owns the served sessions' tables: `serve`
+    // passes the config through unchanged, so a service budget builds
+    // tables even though the session's own preprocess budget is disabled.
+    let system = ProofSystem::setup_with_backend((*shared_srs()).clone(), Arc::new(Serial));
+    assert!(!system.precompute().is_enabled());
+    let svc = system.serve(
+        ServiceConfig::default()
+            .with_shards(1)
+            .with_precompute(PrecomputeBudget::unlimited()),
+    );
+    let (circuit, _) = workload_instances().swap_remove(0);
+    svc.register_circuit(circuit).expect("fits");
+    let metrics = svc.metrics();
+    assert_eq!(metrics.sessions.len(), 1);
+    assert!(
+        metrics.sessions[0].precompute_table_bytes > 0,
+        "the service budget must build the session tables"
+    );
 }
 
 fn roundtrip(svc: &ProvingService, request: &Request) -> Response {
